@@ -13,13 +13,15 @@ thin wrappers around such a mask plus a small generating set.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import prime_divisors
+from .arith import factorize, prime_divisors
 from .errors import ClosureExceedsCap, NotNormal
 from .kernels import closure_packed
 
@@ -157,6 +159,7 @@ class FiniteGroup:
         self._quotients: dict = {}     # kernel bits -> QuotientGroup
         self._materialized: dict = {}  # subgroup bits -> FiniteGroup
         self._lattice = None
+        self._right: list = [None] * n  # right_row(y), filled on first use
         self.parent_embedding: Optional[np.ndarray] = None
 
     # -- basics ------------------------------------------------------------
@@ -222,8 +225,73 @@ class FiniteGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, self.full_bits(), gens=self.generators)
 
+    def right_row(self, y: int):
+        """Right multiplication by y, x -> x*y (column y of the table).
+
+        Cached per group as bytes when every index fits a byte, else as an
+        unsigned array whose width follows the order.
+        """
+        row = self._right[y]
+        if row is None:
+            col = self.table[:, y]
+            if self.order <= 1 << 8:
+                row = col.astype(np.uint8).tobytes()
+            elif self.order <= 1 << 16:
+                row = array("H", col.astype(np.uint16).tobytes())
+            else:
+                row = array("I", col.astype(np.uint32).tobytes())
+            self._right[y] = row
+        return row
+
     def closure_bits(self, gens: Sequence[int]) -> int:
-        return packed_to_bits(closure_packed(self.table, list(gens)))
+        """Bitmask of the subgroup generated by gens.
+
+        The compiled kernel runs a BFS when it is built. Otherwise this is
+        Dimino's algorithm: a generator already in the subgroup H so far is
+        skipped; a new one s extends H to <H, s> by adding whole right
+        cosets H*y, each gathered from y's right-multiplication row, until
+        the coset representatives are closed under the generators used.
+        By Lagrange a proper <H, s> has at most [G:H]/p cosets of H, p the
+        least prime dividing [G:H], so one more coset means <H, s> = G.
+        """
+        if closure_packed is not None:
+            return packed_to_bits(closure_packed(self.table, [int(s) for s in gens]))
+        n = self.order
+        rows, right_row = self._right, self.right_row
+        flags = bytearray(b"0") * n  # ASCII digits: parsed as base 2 below
+        flags[0] = 49
+        elems = [0]
+        used: list = []
+        for s in gens:
+            s = int(s)
+            if flags[s] == 49:
+                continue
+            row = rows[s] or right_row(s)
+            used.append(row)
+            if len(elems) == 1:  # H = 1: <s> is the orbit of 1 under s
+                z = s
+                while z:
+                    flags[z] = 49
+                    elems.append(z)
+                    z = row[z]
+                continue
+            index = n // len(elems)
+            most = index // factorize(index)[0][0]
+            take = itemgetter(*elems)
+            reps = [0]
+            for y in reps:
+                for row in used:
+                    z = row[y]
+                    if flags[z] != 49:
+                        if len(reps) == most:
+                            return (1 << n) - 1
+                        coset = take(rows[z] or right_row(z))
+                        for x in coset:
+                            flags[x] = 49
+                        elems.extend(coset)
+                        reps.append(z)
+        flags.reverse()
+        return int(flags, 2)
 
 
 class Subgroup:
@@ -333,26 +401,31 @@ def from_generators(gens: Sequence[Permutation], name: str,
     ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
-    queue = [ident]
+    parent = [0]  # element k is elems[parent[k]] followed by gens[via[k]]
+    via = [0]
     gen_images = [g.images for g in gens]
-    while queue:
-        cur = queue.pop(0)
-        for img in gen_images:
-            nxt = tuple(img[i] for i in cur)
-            if nxt not in index:
+    right: list[list[int]] = [[] for _ in gens]  # right[s][i] = index of elems[i] * gens[s]
+    for pos, cur in enumerate(elems):
+        for s, img in enumerate(gen_images):
+            nxt = tuple(map(img.__getitem__, cur))
+            k = index.get(nxt)
+            if k is None:
                 if len(elems) >= cap:
                     raise ClosureExceedsCap(f"{name}: closure exceeds cap {cap}")
-                index[nxt] = len(elems)
+                k = index[nxt] = len(elems)
                 elems.append(nxt)
-                queue.append(nxt)
+                parent.append(pos)
+                via.append(s)
+            right[s].append(k)
 
+    # column k of the table is x -> x*k = (x*parent)*gen, one gather each
     n = len(elems)
-    perms = np.array(elems, dtype=np.int32)
-    table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        composed = perms[:, perms[i]]  # row j = element i followed by element j
-        for j in range(n):
-            table[i, j] = index[tuple(composed[j])]
+    right_arr = np.array(right, dtype=np.int32)
+    cols = np.empty((n, n), dtype=np.int32)
+    cols[0] = np.arange(n, dtype=np.int32)
+    for k in range(1, n):
+        cols[k] = right_arr[via[k]][cols[parent[k]]]
+    table = cols.T
     gen_idx = [index[g.images] for g in gens]
     labels = tuple(_perm_label(p) for p in elems)
     return FiniteGroup(name, table, generators=gen_idx, labels=labels)
@@ -411,6 +484,34 @@ def product_bits(g: FiniteGroup, abits: int, bbits: int) -> int:
     b = bits_to_array(bbits, g.order)
     prods = g.table[np.ix_(a, b)]
     return bits_of_array(prods.ravel(), g.order)
+
+
+def conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
+    """Conjugacy classes of g, ordered by least member (the identity's first).
+
+    Each class is the orbit of its least member under conjugation by the
+    generators, x -> s^-1 x s. Memoized on the group.
+    """
+    classes = g._memo.get("classes")
+    if classes is None:
+        conj_gens = g.generators or range(g.order)
+        actions = [g.table[g.table[g.inv[s]], s].tolist() for s in conj_gens]
+        seen = bytearray(g.order)
+        classes = []
+        for x in range(g.order):
+            if seen[x]:
+                continue
+            seen[x] = 1
+            orbit = [x]
+            for y in orbit:
+                for act in actions:
+                    z = act[y]
+                    if not seen[z]:
+                        seen[z] = 1
+                        orbit.append(z)
+            classes.append(orbit)
+        g._memo["classes"] = classes
+    return classes
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:

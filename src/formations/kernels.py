@@ -1,28 +1,18 @@
-"""Kernel selection: compiled closure if the extension built, else pure Python.
+"""Kernel selection: the compiled closure kernel if the extension built.
 
-FORMATIONS_PURE=1 forces the pure backend (used by tests and the benchmark
-to compare both implementations on one interpreter).
+Without it, FiniteGroup.closure_bits runs Dimino's algorithm in pure Python.
+FORMATIONS_PURE=1 ignores a built extension (used by tests and the
+benchmark to time the pure path).
 """
 
 import os
 
-from . import _closure_py
-
-if os.environ.get("FORMATIONS_PURE"):
-    _impl = _closure_py
-    BACKEND = "python"
-else:
+closure_packed = None
+BACKEND = "python"
+if not os.environ.get("FORMATIONS_PURE"):
     try:
-        from . import _closure as _impl  # type: ignore[attr-defined]
+        from ._closure import closure_packed  # type: ignore[no-redef]
 
         BACKEND = "cython"
     except ImportError:
-        _impl = _closure_py
-        BACKEND = "python"
-
-closure_packed = _impl.closure_packed
-
-
-def pure_closure_packed(table, gens) -> bytes:
-    """Always the pure-Python kernel, regardless of the selected backend."""
-    return _closure_py.closure_packed(table, gens)
+        pass

@@ -5,8 +5,8 @@ cyclic subgroups, then repeatedly extend each known subgroup by one outside
 element (one canonical generator per cyclic subgroup, which loses nothing
 since <H, g> = <H, g'> whenever <g> = <g'>) and close. Everything that only
 needs *normal* subgroups (chief series, Fitting, O_p cores) is computed
-directly from normal closures instead, which keeps membership predicates
-usable on groups whose full lattice would be expensive.
+directly from the closures of conjugacy classes instead, which keeps
+membership predicates usable on groups whose full lattice would be expensive.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from typing import Iterator, Optional
 
 from .arith import p_part, pi_part, prime_divisors
 from .errors import LatticeExceedsCap
-from .groups import (FiniteGroup, Subgroup, conjugate_bits, join_bits,
-                     normal_closure_bits, normalizer, quotient,
-                     subgroup_from_bits)
+from .groups import (FiniteGroup, Subgroup, conjugacy_classes, conjugate_bits,
+                     join_bits, normalizer, quotient, subgroup_from_bits)
 
 DEFAULT_LATTICE_ORDER_CAP = 1000
 DEFAULT_SUBGROUP_CAP = 100000
@@ -161,12 +160,15 @@ def _maximality(subs: list[Subgroup]) -> list[list[int]]:
 
 
 def _normal_atoms(g: FiniteGroup) -> list[int]:
-    """Deduplicated normal closures of the cyclic subgroups of g."""
-    conj_gens = g.generators or tuple(range(g.order))
-    atoms = set()
-    for x in range(1, g.order):
-        atoms.add(normal_closure_bits(g, (1 << x) | 1, conj_gens))
-    return sorted(atoms, key=lambda b: (b.bit_count(), b))
+    """Deduplicated normal closures of the cyclic subgroups of g, sorted by
+    (order, bits). The normal closure of <x> is generated by the class of
+    x, so each nontrivial class is closed once. Memoized on the group."""
+    atoms = g._memo.get("normal_atoms")
+    if atoms is None:
+        found = {g.closure_bits(cls) for cls in conjugacy_classes(g)[1:]}
+        atoms = sorted(found, key=lambda b: (b.bit_count(), b))
+        g._memo["normal_atoms"] = atoms
+    return atoms
 
 
 def normal_subgroups(g: FiniteGroup,

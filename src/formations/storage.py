@@ -18,7 +18,7 @@ from typing import Optional
 
 from .dsl import parse_group_spec
 from .errors import CacheVersionMismatch, CorpusParseError, FormationsError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, bits_of
 from .lattice import SubgroupLattice
 
 CORPUS_SCHEMA = "formations-corpus/1"
@@ -126,24 +126,32 @@ def cache_lattice(g: FiniteGroup, lat: SubgroupLattice, directory) -> Path:
 
 
 def load_cached_lattice(g: FiniteGroup, directory) -> Optional[SubgroupLattice]:
-    """Load a cached lattice; None when absent or keyed to a different table.
+    """Load a cached lattice; None when absent, keyed to a different table,
+    or unreadable (truncated, not JSON, missing fields): a cache miss.
 
     Raises CacheVersionMismatch for files written under another schema.
     """
     path = _cache_file(g, directory)
     if not path.exists():
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(doc, dict):
+        return None
     if doc.get("schema") != CACHE_SCHEMA:
         raise CacheVersionMismatch(f"{path}: schema {doc.get('schema')!r} != {CACHE_SCHEMA}")
     if doc.get("fingerprint") != g.fingerprint or doc.get("order") != g.order:
         return None
-    from .groups import bits_of
-    subs = [Subgroup(g, bits_of(mem), gens=tuple(gens))
-            for mem, gens in zip(doc["subgroups"], doc["gens"])]
+    try:
+        subs = [Subgroup(g, bits_of(mem), gens=tuple(gens))
+                for mem, gens in zip(doc["subgroups"], doc["gens"])]
+        maximals_of = [list(map(int, row)) for row in doc["maximals"]]
+    except (KeyError, TypeError, ValueError):
+        return None
     index_of = {s.bits: i for i, s in enumerate(subs)}
-    maximals_of = [list(map(int, row)) for row in doc["maximals"]]
     overgroups_of: list[list[int]] = [[] for _ in subs]
     for i, children in enumerate(maximals_of):
         for j in children:

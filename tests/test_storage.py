@@ -120,3 +120,30 @@ def test_cached_lattice_passes_invariants(tmp_path, groups):
     assert sorted(m.order for m in lat.maximal_subgroups(top)) == [6, 6, 6, 6, 8, 8, 8, 12]
     assert len(f_subnormal_bits(lat, BUILTINS["N"])) == len(
         f_subnormal_bits(all_subgroups(groups["S4"]), BUILTINS["N"]))
+
+
+def test_lattice_cache_unreadable_is_miss(tmp_path, groups):
+    s4 = groups["S4"]
+    path = cache_lattice(s4, all_subgroups(s4), tmp_path)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    assert load_cached_lattice(parse_group("S4"), tmp_path) is None
+    doc = json.loads(text)
+    del doc["maximals"]
+    path.write_text(json.dumps(doc))
+    assert load_cached_lattice(parse_group("S4"), tmp_path) is None
+    path.write_text("[]")
+    assert load_cached_lattice(parse_group("S4"), tmp_path) is None
+
+
+def test_corpus_with_truncated_cache_runs(tmp_path, capsys):
+    from formations.cli import main
+    corpus = tmp_path / "c.json"
+    write_corpus([CorpusEntry("S3", "S3", ("soluble",))], corpus)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"{parse_group('S3').fingerprint}.json").write_text('{"schema": "formations-latt')
+    argv = ["corpus", "--path", str(corpus), "--suite", "smoke", "--format", "json",
+            "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
