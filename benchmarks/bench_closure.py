@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Time FiniteGroup.closure_bits on each available closure backend.
+"""Time FiniteGroup.closure_bits and subgroup-lattice enumeration.
 
-"python" is Dimino's algorithm in pure Python; "cython" is the compiled BFS,
-timed only when the extension is built. Two workloads: raw closure calls on
-random seeds, and full subgroup-lattice enumeration (the production hot
-path). Each timing uses a freshly built group, so no memo or cached
-multiplication row carries over between backends. Run from a source tree:
+Two workloads: raw closure calls on random seeds, and full subgroup-lattice
+enumeration (the production hot path). Each timing uses a freshly built
+group, so no memo or cached multiplication row carries over. Run from a
+source tree:
 
     PYTHONPATH=src python benchmarks/bench_closure.py [--big]
 
@@ -16,20 +15,8 @@ import argparse
 import random
 import time
 
-import formations.groups as groups_mod
 from formations.dsl import parse_group
 from formations.lattice import all_subgroups
-
-
-def backends():
-    out = [("python", None)]
-    try:
-        from formations._closure import closure_packed
-    except ImportError:
-        print("note: compiled extension not available; timing the pure kernel only")
-    else:
-        out.insert(0, ("cython", closure_packed))
-    return out
 
 
 def time_raw_closures(name, rounds=2000, seed=1):
@@ -55,31 +42,13 @@ def main():
     ap.add_argument("--big", action="store_true", help="include S6 in the lattice workload")
     args = ap.parse_args()
 
-    kernels = backends()
-    selected = groups_mod.closure_packed
-    try:
-        print("raw closures on S5 (order 120), 2000 random seeds:")
-        base = None
-        for label, kernel in kernels:
-            groups_mod.closure_packed = kernel
-            t = time_raw_closures("S5")
-            base = base or t
-            print(f"  {label:>7}: {t * 1000:8.1f} ms   ({t / base:5.1f}x the first row)")
-
-        names = ["S4", "SL23", "A5", "S5"]
-        if args.big:
-            names.append("S6")
-        print("\nfull lattice enumeration:")
-        for name in names:
-            row = []
-            nsubs = 0
-            for label, kernel in kernels:
-                groups_mod.closure_packed = kernel
-                elapsed, nsubs = time_lattice(name)
-                row.append(f"{label} {elapsed:7.3f}s")
-            print(f"  {name:>5} ({nsubs:>4} subgroups): " + "   ".join(row))
-    finally:
-        groups_mod.closure_packed = selected
+    t = time_raw_closures("S5")
+    print(f"raw closures on S5 (order 120), 2000 random seeds: {t * 1000:.1f} ms")
+    names = ["S4", "SL23", "A5", "S5", "A6"] + (["S6"] if args.big else [])
+    print("\nfull lattice enumeration:")
+    for name in names:
+        elapsed, nsubs = time_lattice(name)
+        print(f"  {name:>5} ({nsubs:>4} subgroups): {elapsed:7.3f}s")
 
 
 if __name__ == "__main__":

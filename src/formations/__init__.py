@@ -36,6 +36,6 @@ from .dsl import (compile_formation, format_formation, format_group_spec,
                   parse_group_spec)
 from .storage import (CorpusEntry, builtin_corpus_path, cache_lattice,
                       load_cached_lattice, load_corpus, write_report)
-from .kernels import BACKEND as KERNEL_BACKEND
 
+KERNEL_BACKEND = "python"  # the only closure kernel
 __version__ = "0.1.0"

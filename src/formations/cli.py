@@ -18,7 +18,8 @@ from .formation import (BUILTINS, Formation, f_hypercentre, is_f_critical,
                         member, residual)
 from .groups import FiniteGroup
 from .harness import RunConfig, SUITES, run_corpus
-from .lattice import all_subgroups
+from .lattice import (DEFAULT_LATTICE_ORDER_CAP, DEFAULT_SUBGROUP_CAP,
+                      all_subgroups)
 from .storage import (builtin_corpus_path, load_corpus, report_dumps,
                       write_report)
 from .structure import dispersiveness, profile
@@ -202,8 +203,7 @@ def cmd_corpus(args) -> int:
         wanted = set(args.tags.split(","))
         entries = [e for e in entries if wanted & set(e.tags)]
     cfg = RunConfig(seed=args.seed, workers=args.workers, cache_dir=args.cache_dir,
-                    timing=args.timing, order_cap=args.order_cap,
-                    lattice_order_cap=args.lattice_cap, subgroup_cap=args.subgroup_cap)
+                    timing=args.timing, order_cap=args.order_cap)
     started = time.monotonic()
     report = run_corpus(entries, cfg=cfg, suite=args.suite, detail=args.detail)
     if args.timing:
@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--output", help="also write the JSON report to this path")
     common.add_argument("--order-cap", type=int, default=5000)
-    common.add_argument("--lattice-cap", type=int, default=1000)
-    common.add_argument("--subgroup-cap", type=int, default=100000)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="profile a group against a formation",
@@ -234,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="subgroup counts by order",
                        parents=[common], allow_abbrev=False)
     p.add_argument("--group", required=True)
+    p.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_ORDER_CAP)
+    p.add_argument("--subgroup-cap", type=int, default=DEFAULT_SUBGROUP_CAP)
     p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("classify", help="type a group per the classification theorem",

@@ -23,7 +23,6 @@ import numpy as np
 
 from .arith import factorize, prime_divisors
 from .errors import ClosureExceedsCap, NotNormal
-from .kernels import closure_packed
 
 DEFAULT_ORDER_CAP = 5000
 
@@ -51,10 +50,6 @@ def bits_to_array(bits: int, n: int) -> np.ndarray:
     raw = bits.to_bytes((n + 7) // 8, "little")
     flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
     return np.flatnonzero(flags).astype(np.int32)
-
-
-def packed_to_bits(packed: bytes) -> int:
-    return int.from_bytes(packed, "little")
 
 
 # ---------------------------------------------------------------------------
@@ -246,52 +241,78 @@ class FiniteGroup:
     def closure_bits(self, gens: Sequence[int]) -> int:
         """Bitmask of the subgroup generated by gens.
 
-        The compiled kernel runs a BFS when it is built. Otherwise this is
-        Dimino's algorithm: a generator already in the subgroup H so far is
-        skipped; a new one s extends H to <H, s> by adding whole right
-        cosets H*y, each gathered from y's right-multiplication row, until
-        the coset representatives are closed under the generators used.
-        By Lagrange a proper <H, s> has at most [G:H]/p cosets of H, p the
-        least prime dividing [G:H], so one more coset means <H, s> = G.
+        Dimino's algorithm: starting from the trivial group, each generator
+        not already in the subgroup H so far extends H to <H, s> by one
+        Dimino step (see `_dimino`).
         """
-        if closure_packed is not None:
-            return packed_to_bits(closure_packed(self.table, [int(s) for s in gens]))
         n = self.order
-        rows, right_row = self._right, self.right_row
         flags = bytearray(b"0") * n  # ASCII digits: parsed as base 2 below
         flags[0] = 49
-        elems = [0]
-        used: list = []
+        elems: list[int] = [0]
+        rows: list = []
         for s in gens:
             s = int(s)
-            if flags[s] == 49:
-                continue
-            row = rows[s] or right_row(s)
-            used.append(row)
-            if len(elems) == 1:  # H = 1: <s> is the orbit of 1 under s
-                z = s
-                while z:
-                    flags[z] = 49
-                    elems.append(z)
-                    z = row[z]
-                continue
-            index = n // len(elems)
-            most = index // factorize(index)[0][0]
-            take = itemgetter(*elems)
-            reps = [0]
-            for y in reps:
-                for row in used:
-                    z = row[y]
-                    if flags[z] != 49:
-                        if len(reps) == most:
-                            return (1 << n) - 1
-                        coset = take(rows[z] or right_row(z))
-                        for x in coset:
-                            flags[x] = 49
-                        elems.extend(coset)
-                        reps.append(z)
+            if flags[s] != 49 and not self._dimino(flags, elems, rows, s):
+                return (1 << n) - 1
         flags.reverse()
         return int(flags, 2)
+
+    def extend(self, elems: Sequence[int], rows: Sequence, s: int) -> tuple[list[int], int]:
+        """One Dimino step: the elements and bitmask of <H, s>.
+
+        H is given by its elements `elems` (the identity among them) and the
+        right rows of its generators (`right_row`); s must lie outside H.
+        The elements of <H, s> come back with those of H first. The inputs
+        are not changed.
+        """
+        n = self.order
+        flags = bytearray(b"0") * n
+        for x in elems:
+            flags[x] = 49
+        elems, rows = list(elems), list(rows)
+        if not self._dimino(flags, elems, rows, s):
+            return list(range(n)), (1 << n) - 1
+        flags.reverse()
+        return elems, int(flags, 2)
+
+    def _dimino(self, flags: bytearray, elems: list, rows: list, s: int) -> bool:
+        """Extend H to <H, s> in place, s outside H.
+
+        H is its member flags (ASCII "1" at each member), its elements and
+        the right rows of its generators; s's row is appended to `rows`.
+        <H, s> is a union of right cosets H*y, each gathered from y's
+        right-multiplication row, and new coset representatives are added
+        until they are closed under every generator. By Lagrange a proper
+        <H, s> has at most [G:H]/p cosets of H, p the least prime dividing
+        [G:H], so one more coset means <H, s> = G: then this returns False
+        and leaves the state partial.
+        """
+        cache, right_row = self._right, self.right_row
+        row = cache[s] or right_row(s)
+        rows.append(row)
+        if len(elems) == 1:  # H = 1: <s> is the orbit of 1 under s
+            z = s
+            while z:
+                flags[z] = 49
+                elems.append(z)
+                z = row[z]
+            return True
+        index = self.order // len(elems)
+        most = index // factorize(index)[0][0]
+        take = itemgetter(*elems)
+        reps = [0]
+        for y in reps:
+            for row in rows:
+                z = row[y]
+                if flags[z] != 49:
+                    if len(reps) == most:
+                        return False
+                    coset = take(cache[z] or right_row(z))
+                    for x in coset:
+                        flags[x] = 49
+                    elems.extend(coset)
+                    reps.append(z)
+        return True
 
 
 class Subgroup:
@@ -486,6 +507,18 @@ def product_bits(g: FiniteGroup, abits: int, bbits: int) -> int:
     return bits_of_array(prods.ravel(), g.order)
 
 
+def conjugation_actions(g: FiniteGroup) -> list[list[int]]:
+    """The permutations y -> s^-1 y s of g's elements, one list per
+    generator s (per element when g records no generators). Memoized on
+    the group."""
+    actions = g._memo.get("conj_actions")
+    if actions is None:
+        actions = [g.table[g.table[g.inv[s]], s].tolist()
+                   for s in g.generators or range(g.order)]
+        g._memo["conj_actions"] = actions
+    return actions
+
+
 def conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
     """Conjugacy classes of g, ordered by least member (the identity's first).
 
@@ -494,8 +527,7 @@ def conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
     """
     classes = g._memo.get("classes")
     if classes is None:
-        conj_gens = g.generators or range(g.order)
-        actions = [g.table[g.table[g.inv[s]], s].tolist() for s in conj_gens]
+        actions = conjugation_actions(g)
         seen = bytearray(g.order)
         classes = []
         for x in range(g.order):
@@ -660,11 +692,13 @@ def map_bits_to_sub(h: Subgroup, sub: FiniteGroup, bits: int) -> int:
     return out
 
 
-def map_bits_from_sub(sub: FiniteGroup, bits: int) -> int:
-    """Translate a bitmask in sub's indexing back to the parent's."""
-    emb = sub.parent_embedding
+def map_bits_from_sub(h: Subgroup, sub: FiniteGroup, bits: int) -> int:
+    """Translate a bitmask in sub's indexing, sub = as_group(h), back to
+    the parent's (unchanged when h is the whole parent, which is sub)."""
+    if h.is_full:
+        return bits
     out = 0
-    for li, pi in enumerate(emb):
+    for li, pi in enumerate(sub.parent_embedding):
         if (bits >> li) & 1:
             out |= 1 << int(pi)
     return out

@@ -34,8 +34,6 @@ class RunConfig:
     cache_dir: Optional[str] = None
     timing: bool = False
     order_cap: int = 5000
-    lattice_order_cap: int = 1000
-    subgroup_cap: int = 100000
     lemma_groups_max_order: int = 400   # lattice-heavy lemma sampling bound
     lemma_instances_per_group: int = 4
 
@@ -127,12 +125,12 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
                         nb = rng.choice([s.bits for s in normal_subgroups(g)])
                         out.append({"f": f, "h_bits": hb, "n_bits": nb})
                     else:  # 2.1.3
-                        from .groups import as_group, subgroup_from_bits
+                        from .groups import as_group, map_bits_from_sub, subgroup_from_bits
                         h = subgroup_from_bits(g, hb)
                         hgrp = as_group(h)
                         inner = sorted(f_subnormal_bits(all_subgroups(hgrp), f))
                         kb_local = rng.choice(inner)
-                        kb = kb_local if h.is_full else _lift(hgrp, kb_local)
+                        kb = map_bits_from_sub(h, hgrp, kb_local)
                         out.append({"f": f, "h_bits": hb, "k_bits": kb})
         return out[:max(k, 1) * 2]
 
@@ -180,14 +178,6 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
     if lemma_id == "3.7":
         return [{"n": n} for n in (1, 2)]
     return [{}]
-
-
-def _lift(hgrp: FiniteGroup, local_bits: int) -> int:
-    out = 0
-    for li, pi in enumerate(hgrp.parent_embedding):
-        if (local_bits >> li) & 1:
-            out |= 1 << int(pi)
-    return out
 
 
 # ---------------------------------------------------------------------------

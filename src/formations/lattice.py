@@ -1,12 +1,23 @@
 """Subgroup-lattice enumeration and lattice-derived structure.
 
-The full lattice comes from breadth-first cyclic extension: seed with all
-cyclic subgroups, then repeatedly extend each known subgroup by one outside
-element (one canonical generator per cyclic subgroup, which loses nothing
-since <H, g> = <H, g'> whenever <g> = <g'>) and close. Everything that only
-needs *normal* subgroups (chief series, Fitting, O_p cores) is computed
-directly from the closures of conjugacy classes instead, which keeps
-membership predicates usable on groups whose full lattice would be expensive.
+The full lattice comes from cyclic extension up to conjugacy (Neubueser,
+Numer. Math. 2, 1960; Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, 2005). Every subgroup is generated by its elements of prime-power
+order, so the seeds are the cyclic subgroups of prime-power order, and a
+subgroup K = <H, x> with H < K and x of prime-power order is conjugate to
+<R, x'> for the class representative R of H's class. So only one
+representative per conjugacy class is kept with its element list, and it is
+extended by one Dimino step (`FiniteGroup.extend`) by one generator of each
+prime-power cyclic subgroup outside it. A new subgroup brings in its whole
+class: the orbit of its element list under conjugation by the group's
+generators, with its recorded generators mapped along. The covers of each
+representative come from a containment scan and are conjugated along the
+same orbit to the rest of its class.
+
+Everything that only needs *normal* subgroups (chief series, Fitting, O_p
+cores) is computed directly from the closures of conjugacy classes instead,
+which keeps membership predicates usable on groups whose full lattice would
+be expensive.
 """
 
 from __future__ import annotations
@@ -16,8 +27,9 @@ from typing import Iterator, Optional
 
 from .arith import p_part, pi_part, prime_divisors
 from .errors import LatticeExceedsCap
-from .groups import (FiniteGroup, Subgroup, conjugacy_classes, conjugate_bits,
-                     join_bits, normalizer, quotient, subgroup_from_bits)
+from .groups import (FiniteGroup, Subgroup, bits_to_array, conjugacy_classes,
+                     conjugate_bits, conjugation_actions, join_bits, normalizer,
+                     quotient, subgroup_from_bits)
 
 DEFAULT_LATTICE_ORDER_CAP = 1000
 DEFAULT_SUBGROUP_CAP = 100000
@@ -83,51 +95,42 @@ class SubgroupLattice:
 def all_subgroups(g: FiniteGroup,
                   order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
                   subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> SubgroupLattice:
-    """Complete subgroup lattice of g (cached on the group)."""
+    """Complete subgroup lattice of g (cached on the group).
+
+    Raises LatticeExceedsCap when g has more than order_cap elements or
+    more than subgroup_cap subgroups.
+    """
     if g._lattice is not None:
         return g._lattice
     if g.order > order_cap:
         raise LatticeExceedsCap(f"{g.name}: order {g.order} exceeds lattice cap {order_cap}")
+    walk = _ClassWalk(g, subgroup_cap)
+    walk.add_class([0], 1, ())
 
-    # canonical cyclic subgroups, keyed by the first generating element
-    cyclic: list[tuple[int, int]] = []  # (generator, bits)
-    seen_cyc: set[int] = set()
-    for x in range(1, g.order):
-        b = g.closure_bits([x])
-        if b not in seen_cyc:
-            seen_cyc.add(b)
-            cyclic.append((x, b))
+    # cyclic subgroups of prime-power order, one class of elements at a time
+    for cls in conjugacy_classes(g)[1:]:
+        x = cls[0]
+        bits = g.closure_bits([x])
+        if bits not in walk.found and len(prime_divisors(bits.bit_count())) == 1:
+            walk.add_class(bits_to_array(bits, g.order).tolist(), bits, (x,))
+    extenders = [gens[0] for bits, gens in walk.found.items() if bits != 1]
 
-    found: dict[int, tuple[int, ...]] = {1: ()}
-    worklist: list[int] = [1]
-    for _, b in cyclic:
-        if b not in found:
-            found[b] = None  # filled below
-    for x, b in cyclic:
-        if found.get(b) is None:
-            found[b] = (x,)
-            worklist.append(b)
-
-    pos = 0
-    while pos < len(worklist):
-        hbits = worklist[pos]
-        hgens = found[hbits]
-        pos += 1
-        for x, cbits in cyclic:
+    # extend each class representative by every cyclic subgroup outside it
+    for hbits, helems, hgens in walk.reps:
+        if hbits == 1:
+            continue
+        hrows = [g.right_row(x) for x in hgens]
+        for x in extenders:
             if (hbits >> x) & 1:
                 continue
-            kbits = g.closure_bits([*hgens, x])
-            if kbits not in found:
-                if len(found) >= subgroup_cap:
-                    raise LatticeExceedsCap(
-                        f"{g.name}: more than {subgroup_cap} subgroups")
-                found[kbits] = (*hgens, x)
-                worklist.append(kbits)
+            kelems, kbits = g.extend(helems, hrows, x)
+            if kbits not in walk.found:
+                walk.add_class(kelems, kbits, _generators(g, kelems, kbits))
 
-    subs = [Subgroup(g, b, gens=gens) for b, gens in found.items()]
+    subs = [Subgroup(g, b, gens=gens) for b, gens in walk.found.items()]
     subs.sort(key=lambda s: (s.order, s.bits))
     index_of = {s.bits: i for i, s in enumerate(subs)}
-    maximals_of = _maximality(subs)
+    maximals_of = walk.covers(subs, index_of)
     overgroups_of: list[list[int]] = [[] for _ in subs]
     for i, children in enumerate(maximals_of):
         for j in children:
@@ -138,21 +141,99 @@ def all_subgroups(g: FiniteGroup,
     return lat
 
 
-def _maximality(subs: list[Subgroup]) -> list[list[int]]:
-    """maximals_of[i] = covers of subgroup i in the containment order."""
-    out: list[list[int]] = []
-    for i, h in enumerate(subs):
-        below = [j for j in range(i) if h.order % subs[j].order == 0
-                 and subs[j].order < h.order
-                 and subs[j].bits & h.bits == subs[j].bits]
-        below.sort(key=lambda j: -subs[j].order)
-        maxima: list[int] = []
-        for j in below:
-            jb = subs[j].bits
-            if not any(jb & subs[k].bits == jb for k in maxima):
-                maxima.append(j)
-        out.append(sorted(maxima))
-    return out
+class _ClassWalk:
+    """The subgroups found so far, added a whole conjugacy class at a time.
+
+    `found` maps each subgroup's bitmask to its recorded generators; `reps`
+    holds (bits, elements, generators) of one representative per class, the
+    only subgroups whose element lists are kept. Each class's orbit is kept
+    as (bits, parent, action) triples: conjugate k is the image of conjugate
+    `parent` under conjugation action `action`, which is how covers are
+    carried from the representative to its conjugates.
+    """
+
+    def __init__(self, g: FiniteGroup, subgroup_cap: int):
+        self.g = g
+        self.cap = subgroup_cap
+        self.actions = conjugation_actions(g)
+        self.pow2 = [1 << i for i in range(g.order)]
+        self.found: dict[int, tuple[int, ...]] = {}
+        self.reps: list[tuple[int, list[int], tuple[int, ...]]] = []
+        self.orbits: list[list[tuple[int, int, int]]] = []
+
+    def _bits(self, elems: list[int]) -> int:
+        return sum(map(self.pow2.__getitem__, elems))  # members are distinct
+
+    def _record(self, bits: int, gens: tuple[int, ...]) -> None:
+        if len(self.found) >= self.cap:
+            raise LatticeExceedsCap(f"{self.g.name}: more than {self.cap} subgroups")
+        self.found[bits] = gens
+
+    def add_class(self, elems: list[int], bits: int, gens: tuple[int, ...]) -> None:
+        """Add the new subgroup <gens> (elements elems, bitmask bits) and
+        all its conjugates, with the generators mapped along."""
+        self._record(bits, gens)
+        self.reps.append((bits, elems, gens))
+        orbit = [(bits, -1, -1)]
+        members, gens_of = [elems], [gens]
+        for k, cur in enumerate(members):
+            for a, act in enumerate(self.actions):
+                image = list(map(act.__getitem__, cur))
+                ibits = self._bits(image)
+                if ibits not in self.found:
+                    igens = tuple(map(act.__getitem__, gens_of[k]))
+                    self._record(ibits, igens)
+                    orbit.append((ibits, k, a))
+                    members.append(image)
+                    gens_of.append(igens)
+        self.orbits.append(orbit)
+
+    def covers(self, subs: list[Subgroup], index_of: dict[int, int]) -> list[list[int]]:
+        """maximals_of for the sorted subgroups: each representative's covers
+        by a containment scan, conjugated along its orbit."""
+        out: list[list[int]] = [[] for _ in subs]
+        n = self.g.order
+        for orbit in self.orbits:
+            i = index_of[orbit[0][0]]
+            out[i] = _covers(subs, i)
+            images = [[bits_to_array(subs[j].bits, n).tolist() for j in out[i]]]
+            for bits, parent, a in orbit[1:]:
+                act = self.actions[a]
+                mapped = [list(map(act.__getitem__, e)) for e in images[parent]]
+                images.append(mapped)
+                out[index_of[bits]] = sorted(index_of[self._bits(e)] for e in mapped)
+        return out
+
+
+def _generators(g: FiniteGroup, elems: list[int], bits: int) -> tuple[int, ...]:
+    """A small generating set of the subgroup: its elements by descending
+    order, each kept when the earlier ones do not generate it yet. Later
+    extensions and every user of `Subgroup.gens` loop over these."""
+    orders = g.element_orders()
+    gens: list[int] = []
+    have = 1
+    for y in sorted(elems, key=lambda y: -orders[y]):
+        if not (have >> y) & 1:
+            gens.append(y)
+            have = g.closure_bits(gens)
+            if have == bits:
+                break
+    return tuple(gens)
+
+
+def _covers(subs: list[Subgroup], i: int) -> list[int]:
+    """Positions of the maximal subgroups of subs[i] (subs sorted by order)."""
+    h = subs[i]
+    below = [j for j in range(i) if h.order % subs[j].order == 0
+             and subs[j].order < h.order
+             and subs[j].bits & h.bits == subs[j].bits]
+    below.sort(key=lambda j: -subs[j].order)
+    maxima: list[int] = []
+    for j in below:
+        jb = subs[j].bits
+        if not any(jb & subs[k].bits == jb for k in maxima):
+            maxima.append(j)
+    return sorted(maxima)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
+from operator import and_, or_
 from pathlib import Path
 from typing import Optional
 
@@ -127,7 +129,8 @@ def cache_lattice(g: FiniteGroup, lat: SubgroupLattice, directory) -> Path:
 
 def load_cached_lattice(g: FiniteGroup, directory) -> Optional[SubgroupLattice]:
     """Load a cached lattice; None when absent, keyed to a different table,
-    or unreadable (truncated, not JSON, missing fields): a cache miss.
+    or unreadable or inconsistent (truncated, not JSON, missing fields, see
+    `_valid_lattice`): a cache miss.
 
     Raises CacheVersionMismatch for files written under another schema.
     """
@@ -146,20 +149,66 @@ def load_cached_lattice(g: FiniteGroup, directory) -> Optional[SubgroupLattice]:
     if doc.get("fingerprint") != g.fingerprint or doc.get("order") != g.order:
         return None
     try:
-        subs = [Subgroup(g, bits_of(mem), gens=tuple(gens))
-                for mem, gens in zip(doc["subgroups"], doc["gens"])]
-        maximals_of = [list(map(int, row)) for row in doc["maximals"]]
+        members, gens, maximals = doc["subgroups"], doc["gens"], doc["maximals"]
+        if not len(members) == len(gens) == len(maximals):
+            return None
+        members = [_indices(mem, g.order) for mem in members]
+        subs = [Subgroup(g, bits_of(mem), gens=_indices(gs, g.order))
+                for mem, gs in zip(members, gens)]
+        maximals_of = [_indices(row, len(subs)) for row in maximals]
     except (KeyError, TypeError, ValueError):
         return None
-    index_of = {s.bits: i for i, s in enumerate(subs)}
     overgroups_of: list[list[int]] = [[] for _ in subs]
     for i, children in enumerate(maximals_of):
         for j in children:
             overgroups_of[j].append(i)
+    if any(a >= b for row in maximals_of for a, b in zip(row, row[1:])):
+        return None
+    if not _valid_lattice(g, subs, members, overgroups_of):
+        return None
+    index_of = {s.bits: i for i, s in enumerate(subs)}
     lat = SubgroupLattice(group=g, subgroups=subs, index_of=index_of,
                           maximals_of=maximals_of, overgroups_of=overgroups_of)
     g._lattice = lat
     return lat
+
+
+def _indices(values, bound: int) -> list[int]:
+    """The list as indices below bound; ValueError for anything else."""
+    if not isinstance(values, list) or not all(
+            type(v) is int and 0 <= v < bound for v in values):
+        raise ValueError("not a list of indices")
+    return values
+
+
+def _valid_lattice(g: FiniteGroup, subs: list[Subgroup], members: list[list[int]],
+                   overgroups_of: list[list[int]]) -> bool:
+    """Whether cached subgroups and covers are consistent.
+
+    The subgroups must run strictly by (order, bits) from the trivial group
+    to g, and each must be regenerated by its recorded gens. The covers
+    must be exactly those of containment: for every subgroup j, the
+    subgroups properly containing j are those containing one of the
+    subgroups listed as covering j, and no listed cover contains another.
+    """
+    keys = [(s.order, s.bits) for s in subs]
+    if not subs or keys[0] != (1, 1) or keys[-1] != (g.order, g.full_bits()):
+        return False
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return False
+    if any(g.closure_bits(s.gens) != s.bits for s in subs):
+        return False
+    holding = [0] * g.order  # holding[x]: positions of the subgroups containing x
+    for k, mem in enumerate(members):
+        for x in mem:
+            holding[x] |= 1 << k
+    above = [reduce(and_, map(holding.__getitem__, mem)) for mem in members]
+    for j, covers in enumerate(overgroups_of):
+        if reduce(or_, (above[i] for i in covers), 0) != above[j] & ~(1 << j):
+            return False
+        if any(above[a] >> b & 1 for a in covers for b in covers if a != b):
+            return False
+    return True
 
 
 def _atomic_write_json(doc, path) -> None:

@@ -24,8 +24,8 @@ from .formation import (Formation, SOLUBLE, SUPERSOLUBLE,
                         residual, sigma_closure_check,
                         soluble_length_formation, subgroup_member)
 from .groups import (FiniteGroup, Subgroup, as_group, conjugate_bits,
-                     core_bits, derived_bits, map_bits_to_sub, normalizer,
-                     product_bits, quotient, subgroup_from_bits)
+                     core_bits, derived_bits, map_bits_from_sub, map_bits_to_sub,
+                     normalizer, product_bits, quotient, subgroup_from_bits)
 from .lattice import (ChiefFactor, all_subgroups, fitting, frattini,
                       minimal_normal_subgroups, normal_subgroups,
                       sylow_conjugates)
@@ -213,7 +213,7 @@ def _residual_shape(g, a, f, failures, notes) -> Optional[str]:
     if not (zc == dc == fr):
         failures.append("derived subgroup, Frattini subgroup and center of the residual differ")
         return None
-    phi_bits_in_g = _lift_bits(a, agrp, fr)
+    phi_bits_in_g = map_bits_from_sub(a, agrp, fr)
     norm_orders = {s.bits: s for s in normal_subgroups(g)}
     if phi_bits_in_g not in norm_orders:
         failures.append("Frattini subgroup of the residual is not normal in the group")
@@ -231,16 +231,6 @@ def _residual_shape(g, a, f, failures, notes) -> Optional[str]:
         failures.append("top factor of the residual is F-central, not eccentric")
         return None
     return "special_sylow_p"
-
-
-def _lift_bits(h: Subgroup, hgrp: FiniteGroup, local_bits: int) -> int:
-    if hgrp.parent_embedding is None:
-        return local_bits
-    out = 0
-    for li, pi in enumerate(hgrp.parent_embedding):
-        if (local_bits >> li) & 1:
-            out |= 1 << int(pi)
-    return out
 
 
 def _ii2_checks(g, a, n, f, failures, notes, conjugate_samples) -> list[str]:
@@ -274,7 +264,7 @@ def _ii2_checks(g, a, n, f, failures, notes, conjugate_samples) -> list[str]:
                 pool = [c for c in conjs]
                 rng.shuffle(pool)
                 for c in pool[:conjugate_samples]:
-                    cbits = _lift_bits(a, as_group(a), c.bits)
+                    cbits = map_bits_from_sub(a, as_group(a), c.bits)
                     if cbits == pbits:
                         continue
                     alt = _action_in_satellite(g, h, subgroup_from_bits(g, cbits), f, p)
@@ -574,7 +564,7 @@ def _lemma_2_4(g, f: Formation) -> TheoremReport:
             p = primes[0]
             agrp = as_group(res)
             phi_local = frattini(agrp).bits
-            phi_g = _lift_bits(res, agrp, phi_local)
+            phi_g = map_bits_from_sub(res, agrp, phi_local)
             norm_bits = {s.bits for s in normal_subgroups(g)}
             between = [b for b in norm_bits
                        if phi_g & b == phi_g and b & res.bits == b and b not in (phi_g, res.bits)]
@@ -649,7 +639,7 @@ def _lemma_2_5(g, f: Formation) -> TheoremReport:
             if product_bits(g, gp.bits, phi.bits) != fit.bits:
                 problems.append("F(G) != Gp * Phi(G)")
             agrp = as_group(gp)
-            phi_p = _lift_bits(gp, agrp, frattini(agrp).bits)
+            phi_p = map_bits_from_sub(gp, agrp, frattini(agrp).bits)
             cfac = factor_centralizer_bits(
                 g, ChiefFactor(lower=subgroup_from_bits(g, phi_p), upper=gp,
                                order=gp.order // phi_p.bit_count(),

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from formations.cli import main
 from formations.storage import write_corpus, CorpusEntry
 
@@ -108,6 +110,17 @@ def test_corpus_missing_file(capsys):
 
 def test_usage_error(capsys):
     assert main(["bogus-command"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--lattice-cap", "--subgroup-cap"])
+def test_lattice_caps_belong_to_lattice(capsys, flag):
+    """Only the lattice command honours the caps, so corpus rejects them."""
+    code, _, err = run(capsys, "corpus", "--tags", "critical", flag, "10")
+    assert code == 2
+    assert "unrecognized arguments" in err
+    code, _, err = run(capsys, "lattice", "--group", "S4", flag, "10")
+    assert code == 2
+    assert "error: S4:" in err
 
 
 def test_invalid_params_is_usage_error(capsys):

@@ -1,19 +1,20 @@
 """Hot-path kernels against the brute-force oracle on random permutation
-groups of degree at most 6: subgroup closure (Dimino's algorithm, or the
-compiled kernel when it is built), normal subgroups from conjugacy classes,
-and Cayley tables built column by column."""
+groups of degree at most 6: subgroup closure (Dimino's algorithm), subgroup
+lattices enumerated up to conjugacy, normal subgroups from conjugacy
+classes, and Cayley tables built column by column."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formations import kernels
+import formations
 from formations.dsl import parse_group
 from formations.groups import Permutation, from_generators
-from formations.lattice import minimal_normal_subgroups, normal_subgroups
+from formations.lattice import (all_subgroups, minimal_normal_subgroups,
+                                normal_subgroups)
 
 from conftest import table_of
-from oracle import o_closure, o_normal_subgroups
+from oracle import o_closure, o_maximal_in, o_normal_subgroups, o_subgroups
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -39,8 +40,7 @@ def members(bits):
 
 
 def test_backend_selected():
-    assert kernels.BACKEND in ("cython", "python")
-    assert (kernels.closure_packed is None) == (kernels.BACKEND == "python")
+    assert formations.KERNEL_BACKEND == "python"
 
 
 def test_empty_seed_gives_identity(groups):
@@ -84,6 +84,23 @@ def test_normal_subgroups_match_oracle(g):
     nontrivial = [s for s in expected if len(s) > 1]
     minimal = {s for s in nontrivial if not any(t < s for t in nontrivial)}
     assert {members(s.bits) for s in minimal_normal_subgroups(g)} == minimal
+
+
+@PROPERTY
+@given(perm_groups())
+def test_lattice_matches_oracle(g):
+    """The same subgroups in (order, bits) order, the same covers, and
+    recorded generators that regenerate each subgroup."""
+    assume(g.order <= 48)
+    lat = all_subgroups(g)
+    bits = [s.bits for s in lat.subgroups]
+    assert bits == sorted(bits, key=lambda b: (b.bit_count(), b))
+    expected = o_subgroups(table_of(g))
+    assert {members(b) for b in bits} == expected
+    for s, maxima in zip(lat.subgroups, lat.maximals_of):
+        assert g.closure_bits(s.gens) == s.bits
+        assert {members(lat.subgroups[j].bits) for j in maxima} == o_maximal_in(
+            expected, members(s.bits))
 
 
 @PROPERTY

@@ -211,4 +211,22 @@ def test_subgroup_cap():
     g._lattice = None
     with pytest.raises(LatticeExceedsCap):
         all_subgroups(g, subgroup_cap=10)
-    g._lattice = None
+    # every subgroup counts, conjugates of a class representative included
+    with pytest.raises(LatticeExceedsCap):
+        all_subgroups(g, subgroup_cap=29)
+    assert len(all_subgroups(g, subgroup_cap=30).subgroups) == 30
+
+
+def test_s6_lattice():
+    """S6: 1455 subgroups in 56 classes; its maximal subgroups are A6, the
+    12 S5 (two classes, swapped by the outer automorphism), the 10 of order
+    72 and the 30 of order 48 (two classes of 15)."""
+    g = parse_group("S6")
+    lat = all_subgroups(g)
+    assert len(lat.subgroups) == 1455
+    maxima = lat.maximal_subgroups(g.full_subgroup())
+    counts: dict[int, int] = {}
+    for m in maxima:
+        counts[m.order] = counts.get(m.order, 0) + 1
+    assert counts == {360: 1, 120: 12, 72: 10, 48: 30}
+    assert all(g.closure_bits(s.gens) == s.bits for s in lat.subgroups)

@@ -147,3 +147,52 @@ def test_corpus_with_truncated_cache_runs(tmp_path, capsys):
             "--cache-dir", str(cache)]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+def _tampered_s4_cache(tmp_path, groups, edit):
+    s4 = groups["S4"]
+    path = cache_lattice(s4, all_subgroups(s4), tmp_path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return load_cached_lattice(parse_group("S4"), tmp_path)
+
+
+TOP_COVERS = [21, 22, 23, 24, 25, 26, 27, 28]  # S4's maximal subgroups
+
+
+@pytest.mark.parametrize("row", [[99], [0], [-1], [29], ["0"], [21] + TOP_COVERS,
+                                 [10] + TOP_COVERS],
+                         ids=["out-of-range", "trivial", "negative", "self",
+                              "string", "duplicate", "not-maximal"])
+def test_lattice_cache_bad_maximals_is_miss(tmp_path, groups, row):
+    """The top's row replaced: an index out of range, the trivial group, the
+    top itself, a non-integer, a repeated cover, or the true covers plus a
+    subgroup inside one of them (10 inside 28) each make the file a cache
+    miss."""
+    def edit(doc):
+        assert doc["maximals"][-1] == TOP_COVERS
+        doc["maximals"][-1] = row
+    assert _tampered_s4_cache(tmp_path, groups, edit) is None
+
+
+def test_lattice_cache_dropped_cover_is_miss(tmp_path, groups):
+    def edit(doc):
+        doc["maximals"][-1] = doc["maximals"][-1][1:]
+    assert _tampered_s4_cache(tmp_path, groups, edit) is None
+
+
+@pytest.mark.parametrize("gens", [[], [0], [23], [1, 2, 3, 4, 5], [24]])
+def test_lattice_cache_tampered_gens_is_miss(tmp_path, groups, gens):
+    """Recorded gens of the largest proper subgroup that do not regenerate
+    its members, or are not element indices, make the file a miss."""
+    def edit(doc):
+        doc["gens"][-2] = gens
+    assert _tampered_s4_cache(tmp_path, groups, edit) is None
+
+
+def test_lattice_cache_unsorted_is_miss(tmp_path, groups):
+    def edit(doc):
+        for key in ("subgroups", "gens", "maximals"):
+            doc[key][1], doc[key][2] = doc[key][2], doc[key][1]
+    assert _tampered_s4_cache(tmp_path, groups, edit) is None
