@@ -16,8 +16,8 @@ from .groups import (FiniteGroup, Permutation, QuotientGroup, Subgroup,
                      is_normal, normal_closure, normalizer, quotient)
 from .lattice import (ChiefFactor, ChiefSeries, SubgroupLattice, all_subgroups,
                       chief_series, fitting, frattini, hall,
-                      minimal_normal_subgroups, normal_subgroups, NOT_FOUND,
-                      o_core, sylow)
+                      minimal_normal_subgroups, normal_subgroups, o_core,
+                      sylow)
 from .structure import (StructureProfile, dispersiveness, induced_action,
                         is_phi_dispersive, is_schmidt, is_miller_moreno,
                         is_subnormal, profile)

@@ -13,11 +13,12 @@ import sys
 import time
 from typing import Optional
 
+from .dsl import formation_from_text, parse_group
 from .errors import FormationsError
 from .formation import (BUILTINS, Formation, f_hypercentre, is_f_critical,
                         member, residual)
 from .groups import FiniteGroup
-from .harness import RunConfig, SUITES, run_corpus
+from .harness import DEFAULT_SEED, RunConfig, SUITES, lemma_instances, run_corpus
 from .lattice import (DEFAULT_LATTICE_ORDER_CAP, DEFAULT_SUBGROUP_CAP,
                       all_subgroups)
 from .storage import (builtin_corpus_path, load_corpus, report_dumps,
@@ -32,14 +33,12 @@ EXIT_USAGE = 2
 
 
 def _formation_arg(text: str) -> Formation:
-    from .dsl import formation_from_text
     if text in BUILTINS:
         return BUILTINS[text]
     return formation_from_text(text)
 
 
 def _group_arg(text: str, cap: int) -> FiniteGroup:
-    from .dsl import parse_group
     return parse_group(text, cap=cap)
 
 
@@ -174,7 +173,6 @@ def cmd_verify(args) -> int:
 
 def _lemma_reports(lemma_id, g, f, n):
     """Sampled instances for a lemma on one group, honoring flag overrides."""
-    from .harness import DEFAULT_SEED, lemma_instances
     instances = lemma_instances(lemma_id, g, DEFAULT_SEED, 4)
     seen = set()
     out = []

@@ -34,8 +34,8 @@ from .groups import (FiniteGroup, Subgroup, as_group, bits_of_array,
                      subgroup_from_bits)
 from .lattice import (ChiefFactor, SubgroupLattice, all_subgroups,
                       chief_series, minimal_normal_subgroups, normal_subgroups)
-from .structure import (is_soluble, is_supersoluble, nilpotent_length,
-                        subgroup_is_nilpotent)
+from .structure import (is_nilpotent, is_soluble, is_supersoluble,
+                        nilpotent_length, subgroup_is_nilpotent)
 
 MSL_UNBOUNDED = 10**9  # sentinel for "n-multiply saturated for every n"
 
@@ -92,13 +92,8 @@ def subgroup_member(f: Formation, h: Subgroup) -> bool:
 # built-in formations
 
 
-def _nilpotent_test(g: FiniteGroup) -> bool:
-    from .structure import is_nilpotent
-    return is_nilpotent(g)
-
-
 NILPOTENT = Formation(
-    name="N", key="N", test=_nilpotent_test,
+    name="N", key="N", test=is_nilpotent,
     hereditary=True, saturated=True, msl=MSL_UNBOUNDED,
     contains_nilpotent=True, within_supersoluble=True, nl_bound=1,
 )
@@ -430,11 +425,7 @@ def f_subnormal_bits(lat: SubgroupLattice, f: Formation) -> frozenset[int]:
             if mi in good:
                 continue
             m = lat.subgroups[mi]
-            cbits = core_bits(g, m.bits, k.gens)
-            if k.is_full:
-                local_core = cbits
-            else:
-                local_core = map_bits_to_sub(k, kgrp, cbits)
+            local_core = map_bits_to_sub(k, core_bits(g, m.bits, k.gens))
             q = quotient(kgrp, subgroup_from_bits(kgrp, local_core)).base
             if member(f, q):
                 good.add(mi)

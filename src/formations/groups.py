@@ -52,6 +52,14 @@ def bits_to_array(bits: int, n: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int32)
 
 
+def table_fingerprint(table: np.ndarray) -> str:
+    """Stable sha256 of a Cayley table (`FiniteGroup.fingerprint`)."""
+    h = hashlib.sha256(b"cayley/1:")
+    h.update(table.shape[0].to_bytes(4, "little"))
+    h.update(np.ascontiguousarray(table, dtype=np.int32).tobytes())
+    return h.hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # permutations (input representation only)
 
@@ -155,7 +163,7 @@ class FiniteGroup:
         self._materialized: dict = {}  # subgroup bits -> FiniteGroup
         self._lattice = None
         self._right: list = [None] * n  # right_row(y), filled on first use
-        self.parent_embedding: Optional[np.ndarray] = None
+        self._registry: Optional[dict] = None  # see `_section`
 
     # -- basics ------------------------------------------------------------
 
@@ -172,17 +180,11 @@ class FiniteGroup:
     def identity(self) -> int:
         return 0
 
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
-
     @property
     def fingerprint(self) -> str:
         """Stable digest of the multiplication table (lattice cache key)."""
         if self._fingerprint is None:
-            h = hashlib.sha256(b"cayley/1:")
-            h.update(self.order.to_bytes(4, "little"))
-            h.update(np.ascontiguousarray(self.table).tobytes())
-            self._fingerprint = h.hexdigest()
+            self._fingerprint = table_fingerprint(self.table)
         return self._fingerprint
 
     def element_orders(self) -> np.ndarray:
@@ -386,7 +388,9 @@ class Subgroup:
 
 @dataclass
 class QuotientGroup:
-    """Materialized quotient G/N: fresh group, projection map, and kernel."""
+    """Materialized quotient G/N: its group, the projection map and the
+    kernel. The group may be shared (see `as_group`); the projection and
+    kernel belong to this (G, N)."""
 
     base: FiniteGroup
     projection: np.ndarray
@@ -630,7 +634,9 @@ def quotient(g: FiniteGroup, n: Subgroup) -> QuotientGroup:
     """Materialized quotient G/N (coset representative table).
 
     Raises NotNormal when n is not normal in g. Results are memoized per
-    kernel, since chief-factor scans revisit the same quotients.
+    kernel, since chief-factor scans revisit the same quotients. The base
+    is the section of g's root with the quotient's table (`_section`), so
+    G/1 is G itself.
     """
     if n.bits in g._quotients:
         return g._quotients[n.bits]
@@ -648,18 +654,21 @@ def quotient(g: FiniteGroup, n: Subgroup) -> QuotientGroup:
     reps_arr = np.asarray(reps, dtype=np.int32)
     qtable = coset_of[g.table[np.ix_(reps_arr, reps_arr)]]
     gens = sorted(set(int(coset_of[x]) for x in (g.generators or range(nelem))) - {0})
-    qname = f"{g.name}/{n.order}.{_short_digest(n.bits)}"
-    base = FiniteGroup(qname, qtable, generators=gens)
+    base = _section(g, qtable, gens)
     q = QuotientGroup(base=base, projection=coset_of, kernel=n)
     g._quotients[n.bits] = q
     return q
 
 
 def as_group(h: Subgroup) -> FiniteGroup:
-    """Materialize a subgroup as a standalone group.
+    """Materialize a subgroup as a standalone group, memoized on the parent.
 
-    The result carries `parent_embedding` (local index -> parent index) and is
-    memoized on the parent.
+    Local index i of the result stands for parent index h.members[i]: that
+    is the embedding `map_bits_to_sub` and `map_bits_from_sub` apply. The
+    result is the section of the parent's root with this table
+    (`_section`), so subgroups with equal tables, and a quotient with the
+    same table, share one group and its memos; it has no labels, since it
+    may stand for several subgroups.
     """
     g = h.parent
     if h.is_full:
@@ -674,33 +683,56 @@ def as_group(h: Subgroup) -> FiniteGroup:
     if table.min() < 0:
         raise ValueError("member set is not closed under multiplication")
     gens = [int(local[x]) for x in h.gens if local[x] > 0]
-    labels = tuple(g.label(int(m)) for m in mem) if g.labels else None
-    sub = FiniteGroup(f"{g.name}|{h.order}.{_short_digest(h.bits)}", table,
-                      generators=gens, labels=labels)
-    sub.parent_embedding = mem.copy()
+    sub = _section(g, table, gens)
     g._materialized[h.bits] = sub
     return sub
 
 
-def map_bits_to_sub(h: Subgroup, sub: FiniteGroup, bits: int) -> int:
-    """Translate a parent-indexed bitmask (subset of h) into sub's indexing."""
-    emb = sub.parent_embedding
+def _section(g: FiniteGroup, table: np.ndarray, gens: Sequence[int]) -> FiniteGroup:
+    """The group with this Cayley table among g's root and every group
+    derived from it by `quotient` and `as_group`.
+
+    A group that is not itself derived is a root. Its registry, which maps
+    table fingerprints to groups, is made on its first derivation, with the
+    root registered first; derived groups share it. A table not yet
+    registered becomes a new group named after the root, its order and its
+    fingerprint, so the name does not depend on how it was reached.
+    """
+    registry = g._registry
+    if registry is None:
+        registry = g._registry = {g.fingerprint: g}
+    key = table_fingerprint(table)
+    sec = registry.get(key)
+    if sec is None:
+        root = next(iter(registry.values()))
+        sec = FiniteGroup(f"{root.name}|{len(table)}.{key[:8]}", table, generators=gens)
+        sec._fingerprint = key
+        sec._registry = registry
+        registry[key] = sec
+    return sec
+
+
+def map_bits_to_sub(h: Subgroup, bits: int) -> int:
+    """Translate a parent-indexed bitmask (a subset of h) into the indexing
+    of as_group(h), where local index i is h.members[i]."""
+    if h.is_full:
+        return bits
     out = 0
-    for li, pi in enumerate(emb):
-        if (bits >> int(pi)) & 1:
+    for li, pi in enumerate(h.members.tolist()):
+        if bits >> pi & 1:
             out |= 1 << li
     return out
 
 
-def map_bits_from_sub(h: Subgroup, sub: FiniteGroup, bits: int) -> int:
-    """Translate a bitmask in sub's indexing, sub = as_group(h), back to
-    the parent's (unchanged when h is the whole parent, which is sub)."""
+def map_bits_from_sub(h: Subgroup, bits: int) -> int:
+    """Translate a bitmask in the indexing of as_group(h) back to the
+    parent's: local index i is h.members[i]."""
     if h.is_full:
         return bits
     out = 0
-    for li, pi in enumerate(sub.parent_embedding):
-        if (bits >> li) & 1:
-            out |= 1 << int(pi)
+    for li, pi in enumerate(h.members.tolist()):
+        if bits >> li & 1:
+            out |= 1 << pi
     return out
 
 
@@ -714,10 +746,6 @@ def join_bits(g: FiniteGroup, abits: int, bbits: int) -> int:
     """Subgroup generated by the union of two member sets."""
     mem = bits_to_array(abits | bbits, g.order)
     return g.closure_bits([int(m) for m in mem])
-
-
-def _short_digest(bits: int) -> str:
-    return hashlib.sha1(bits.to_bytes((bits.bit_length() + 7) // 8 or 1, "little")).hexdigest()[:8]
 
 
 def trivial_group(name: str = "1") -> FiniteGroup:

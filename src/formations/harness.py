@@ -13,13 +13,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .arith import prime_divisors
+from .dsl import parse_group
 from .errors import (CorpusParseError, FormationsError, InvalidParams,
                      LatticeExceedsCap)
 from .formation import (BUILTINS, NILPOTENT, f_subnormal_bits,
                         local_membership, member, p_groups)
-from .groups import FiniteGroup
+from .groups import FiniteGroup, as_group, map_bits_from_sub, subgroup_from_bits
 from .lattice import all_subgroups, normal_subgroups
-from .storage import CorpusEntry
+from .storage import CorpusEntry, cache_lattice, load_cached_lattice
 from .structure import dispersiveness, profile
 from .theorems import (TheoremReport, classify_type, verify_lemma,
                        verify_theorem)
@@ -125,12 +127,11 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
                         nb = rng.choice([s.bits for s in normal_subgroups(g)])
                         out.append({"f": f, "h_bits": hb, "n_bits": nb})
                     else:  # 2.1.3
-                        from .groups import as_group, map_bits_from_sub, subgroup_from_bits
                         h = subgroup_from_bits(g, hb)
                         hgrp = as_group(h)
                         inner = sorted(f_subnormal_bits(all_subgroups(hgrp), f))
                         kb_local = rng.choice(inner)
-                        kb = map_bits_from_sub(h, hgrp, kb_local)
+                        kb = map_bits_from_sub(h, kb_local)
                         out.append({"f": f, "h_bits": hb, "k_bits": kb})
         return out[:max(k, 1) * 2]
 
@@ -141,7 +142,6 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
     if lemma_id in ("2.7", "2.14"):
         pool = [s.bits for s in normal_subgroups(g)]
         if lemma_id == "2.7":
-            from .arith import prime_divisors
             pool = [b for b in pool if len(prime_divisors(b.bit_count())) == 1 and b != 1]
         fs = [BUILTINS["N"], BUILTINS["U"], BUILTINS["N^2"], BUILTINS["S"]]
         return [{"f": f, "e_bits": b}
@@ -185,7 +185,6 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
 
 
 def _build_entry(entry: CorpusEntry, cfg: RunConfig) -> FiniteGroup:
-    from .dsl import parse_group
     return parse_group(entry.spec, name=entry.name, cap=cfg.order_cap)
 
 
@@ -200,7 +199,6 @@ def run_entry_checks(entry: CorpusEntry, checks: Sequence[CheckSpec],
                 for c in checks]
     loaded_from_cache = False
     if cfg.cache_dir:
-        from .storage import load_cached_lattice
         try:
             loaded_from_cache = load_cached_lattice(g, cfg.cache_dir) is not None
         except FormationsError:
@@ -212,7 +210,6 @@ def run_entry_checks(entry: CorpusEntry, checks: Sequence[CheckSpec],
         out.extend(_run_one_check(g, prof, check, cfg))
 
     if cfg.cache_dir and not loaded_from_cache and g._lattice is not None:
-        from .storage import cache_lattice
         cache_lattice(g, g._lattice, cfg.cache_dir)
     return out
 

@@ -416,25 +416,8 @@ def sylow_conjugates(g: FiniteGroup, p: int) -> list[Subgroup]:
     return [subgroup_from_bits(g, b) for b in sorted(seen)]
 
 
-class NotFound:
-    """Marker value for hall() when no Hall subgroup exists."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotFound"
-
-
-NOT_FOUND = NotFound()
-
-
-def hall(g: FiniteGroup, primes) -> Subgroup | NotFound:
-    """A subgroup whose order is the pi-part of |G|, or NotFound.
+def hall(g: FiniteGroup, primes) -> Optional[Subgroup]:
+    """A subgroup whose order is the pi-part of |G|, or None.
 
     Scans the lattice in deterministic order, so the result is reproducible.
     """
@@ -447,7 +430,7 @@ def hall(g: FiniteGroup, primes) -> Subgroup | NotFound:
     for s in lat.subgroups:
         if s.order == target:
             return s
-    return NOT_FOUND
+    return None
 
 
 def o_core(g: FiniteGroup, mode: str, p: int) -> Subgroup:

@@ -57,12 +57,7 @@ def is_nilpotent(g: FiniteGroup) -> bool:
 
 
 def is_soluble(g: FiniteGroup) -> bool:
-    cur = g.full_bits()
-    while True:
-        nxt = derived_bits(g, cur)
-        if nxt == cur:
-            return cur == 1
-        cur = nxt
+    return subgroup_is_soluble(g.full_subgroup())
 
 
 def is_supersoluble(g: FiniteGroup) -> bool:
@@ -114,6 +109,16 @@ def subgroup_is_nilpotent(h: Subgroup) -> bool:
         if count != target:
             return False
     return True
+
+
+def subgroup_is_soluble(h: Subgroup) -> bool:
+    """The derived series of h, taken in the parent's table, reaches 1."""
+    g, cur = h.parent, h.bits
+    while True:
+        nxt = derived_bits(g, cur)
+        if nxt == cur:
+            return cur == 1
+        cur = nxt
 
 
 def subgroup_is_abelian(h: Subgroup) -> bool:
@@ -212,7 +217,7 @@ def induced_action(h: Subgroup, p_sub: Subgroup) -> QuotientGroup:
             raise NotNormalized(f"subgroup does not normalize the target in {g.name}")
     cent = centralizer(g, (int(m) for m in p_sub.members))
     hgrp = as_group(h)
-    ker_bits = map_bits_to_sub(h, hgrp, cent.bits & h.bits) if not h.is_full else cent.bits & h.bits
+    ker_bits = map_bits_to_sub(h, cent.bits & h.bits)
     return quotient(hgrp, subgroup_from_bits(hgrp, ker_bits))
 
 

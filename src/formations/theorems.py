@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Optional
 
-from .arith import prime_divisors
+from .arith import p_part, prime_divisors
 from .errors import InvalidParams, NoSatellite
 from .formation import (Formation, SOLUBLE, SUPERSOLUBLE,
                         canonical_satellite, f_hypercentre, f_subnormal_bits,
@@ -23,17 +23,17 @@ from .formation import (Formation, SOLUBLE, SUPERSOLUBLE,
                         member, nilpotent_commutator_class, p_groups, product,
                         residual, sigma_closure_check,
                         soluble_length_formation, subgroup_member)
-from .groups import (FiniteGroup, Subgroup, as_group, conjugate_bits,
-                     core_bits, derived_bits, map_bits_from_sub, map_bits_to_sub,
-                     normalizer, product_bits, quotient, subgroup_from_bits)
-from .lattice import (ChiefFactor, all_subgroups, fitting, frattini,
+from .groups import (FiniteGroup, Subgroup, as_group, center, centralizer,
+                     conjugate_bits, core_bits, derived_bits, is_normal,
+                     map_bits_from_sub, map_bits_to_sub, normalizer,
+                     product_bits, quotient, subgroup_from_bits)
+from .lattice import (ChiefFactor, all_subgroups, fitting, frattini, hall,
                       minimal_normal_subgroups, normal_subgroups,
                       sylow_conjugates)
 from .structure import (dispersiveness, has_normal_sylow, induced_action,
                         is_miller_moreno, is_phi_dispersive, is_schmidt,
                         is_subnormal, profile, subgroup_is_abelian,
-                        subgroup_is_nilpotent)
-from .arith import p_part
+                        subgroup_is_nilpotent, subgroup_is_soluble)
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,8 @@ def classify_type(g: FiniteGroup, n: int, f: Formation,
         failures.append(f"residual of order {a.order} is not a Hall subgroup")
         return ClassificationOutcome(kind="neither", a_order=a.order,
                                      failures=tuple(failures))
-    from .lattice import hall, NOT_FOUND
     b = hall(g, prime_divisors(g.order // a.order))
-    if b is NOT_FOUND:
+    if b is None:
         failures.append("no Hall complement to the residual exists")
         return ClassificationOutcome(kind="neither", a_order=a.order,
                                      failures=tuple(failures))
@@ -206,14 +205,13 @@ def _residual_shape(g, a, f, failures, notes) -> Optional[str]:
     if agrp.exponent != p:
         failures.append(f"residual Sylow {p}-subgroup has exponent {agrp.exponent} != {p}")
         return None
-    from .groups import center
     zc = center(agrp).bits
     dc = derived_bits(agrp, agrp.full_bits())
     fr = frattini(agrp).bits
     if not (zc == dc == fr):
         failures.append("derived subgroup, Frattini subgroup and center of the residual differ")
         return None
-    phi_bits_in_g = map_bits_from_sub(a, agrp, fr)
+    phi_bits_in_g = map_bits_from_sub(a, fr)
     norm_orders = {s.bits: s for s in normal_subgroups(g)}
     if phi_bits_in_g not in norm_orders:
         failures.append("Frattini subgroup of the residual is not normal in the group")
@@ -264,7 +262,7 @@ def _ii2_checks(g, a, n, f, failures, notes, conjugate_samples) -> list[str]:
                 pool = [c for c in conjs]
                 rng.shuffle(pool)
                 for c in pool[:conjugate_samples]:
-                    cbits = map_bits_from_sub(a, as_group(a), c.bits)
+                    cbits = map_bits_from_sub(a, c.bits)
                     if cbits == pbits:
                         continue
                     alt = _action_in_satellite(g, h, subgroup_from_bits(g, cbits), f, p)
@@ -443,7 +441,7 @@ def _lemma_2_1_1(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
         k = subgroup_from_bits(g, k_bits)
         inter = h_bits & k_bits
         kgrp = as_group(k)
-        local = inter if k.is_full else map_bits_to_sub(k, kgrp, inter)
+        local = map_bits_to_sub(k, inter)
         concl = local in f_subnormal_bits(all_subgroups(kgrp), f)
         if not concl:
             witness = (f"H of order {h_bits.bit_count()} meets K of order {k.order} in a "
@@ -455,7 +453,6 @@ def _lemma_2_1_2(g, f: Formation, h_bits: int, n_bits: int) -> TheoremReport:
     lat = all_subgroups(g)
     params = {"formation": f.name, "h_order": h_bits.bit_count(), "n_order": n_bits.bit_count()}
     nsub = subgroup_from_bits(g, n_bits)
-    from .groups import is_normal
     hyp = h_bits in f_subnormal_bits(lat, f) and is_normal(g, nsub)
     concl = None
     witness = None
@@ -473,7 +470,7 @@ def _lemma_2_1_3(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
     params = {"formation": f.name, "h_order": h_bits.bit_count(), "k_order": k_bits.bit_count()}
     h = subgroup_from_bits(g, h_bits)
     hgrp = as_group(h)
-    local_k = k_bits if h.is_full else map_bits_to_sub(h, hgrp, k_bits)
+    local_k = map_bits_to_sub(h, k_bits)
     hyp = (h_bits in f_subnormal_bits(lat, f)
            and local_k in f_subnormal_bits(all_subgroups(hgrp), f))
     concl = None
@@ -564,7 +561,7 @@ def _lemma_2_4(g, f: Formation) -> TheoremReport:
             p = primes[0]
             agrp = as_group(res)
             phi_local = frattini(agrp).bits
-            phi_g = map_bits_from_sub(res, agrp, phi_local)
+            phi_g = map_bits_from_sub(res, phi_local)
             norm_bits = {s.bits for s in normal_subgroups(g)}
             between = [b for b in norm_bits
                        if phi_g & b == phi_g and b & res.bits == b and b not in (phi_g, res.bits)]
@@ -575,7 +572,6 @@ def _lemma_2_4(g, f: Formation) -> TheoremReport:
                                      order=res.order // phi_g.bit_count(), primes=(p,))
                 if is_f_central(g, factor, f):
                     problems.append("residual top factor is F-central, should be eccentric")
-            from .groups import center
             if not subgroup_is_abelian(res):
                 zc = center(agrp).bits
                 dc = derived_bits(agrp, agrp.full_bits())
@@ -639,7 +635,7 @@ def _lemma_2_5(g, f: Formation) -> TheoremReport:
             if product_bits(g, gp.bits, phi.bits) != fit.bits:
                 problems.append("F(G) != Gp * Phi(G)")
             agrp = as_group(gp)
-            phi_p = map_bits_from_sub(gp, agrp, frattini(agrp).bits)
+            phi_p = map_bits_from_sub(gp, frattini(agrp).bits)
             cfac = factor_centralizer_bits(
                 g, ChiefFactor(lower=subgroup_from_bits(g, phi_p), upper=gp,
                                order=gp.order // phi_p.bit_count(),
@@ -689,7 +685,7 @@ def _lemma_2_6(g) -> TheoremReport:
             if s.order == comp_order and s.bits & res.bits == 1:
                 sgrp = as_group(s)
                 inter = s.bits & phi.bits
-                local = inter if s.is_full else map_bits_to_sub(s, sgrp, inter)
+                local = map_bits_to_sub(s, inter)
                 q = quotient(sgrp, subgroup_from_bits(sgrp, local)).base
                 prim_cyclic = (len(prime_divisors(q.order)) <= 1
                                and int(max(q.element_orders())) == q.order)
@@ -708,7 +704,6 @@ def _lemma_2_7(g, f: Formation, e_bits: int) -> TheoremReport:
     if not f.has_satellite:
         raise NoSatellite(f.name)
     e = subgroup_from_bits(g, e_bits)
-    from .groups import is_normal, centralizer
     primes = prime_divisors(e.order)
     hyp = is_normal(g, e) and len(primes) == 1
     concl = None
@@ -786,7 +781,6 @@ def _lemma_2_14(g, f: Formation, e_bits: int) -> TheoremReport:
     if not (f.saturated and f.contains_nilpotent):
         raise InvalidParams(f"{f.name}: lemma needs a saturated formation containing N")
     e = subgroup_from_bits(g, e_bits)
-    from .groups import is_normal
     hyp = is_normal(g, e)
     concl = None
     witness = None
@@ -794,7 +788,7 @@ def _lemma_2_14(g, f: Formation, e_bits: int) -> TheoremReport:
         phi = frattini(g)
         egrp = as_group(e)
         inter = e.bits & phi.bits
-        local = inter if e.is_full else map_bits_to_sub(e, egrp, inter)
+        local = map_bits_to_sub(e, inter)
         quot = quotient(egrp, subgroup_from_bits(egrp, local)).base
         hyp = member(f, quot)
         if hyp:
@@ -820,7 +814,7 @@ def _lemma_2_15(g, f: Formation, h_bits: int, m_bits: int) -> TheoremReport:
     if hyp:
         m = subgroup_from_bits(g, m_bits)
         mgrp = as_group(m)
-        local_h = h_bits if m.is_full else map_bits_to_sub(m, mgrp, h_bits)
+        local_h = map_bits_to_sub(m, h_bits)
         hyp = local_h in f_subnormal_bits(all_subgroups(mgrp), f)
         if hyp:
             concl = subgroup_member(f, m)
@@ -844,7 +838,7 @@ def _prop_3_1(g, use_derived: bool = True, check_id: str = "lemma-3.1") -> Theor
                a.order * b.order // (a.bits & b.bits).bit_count() == g.order:
                 pairs.setdefault(i, set()).add(j)
                 pairs.setdefault(j, set()).add(i)
-    soluble_idx = {i for i, s in enumerate(subs) if _subgroup_soluble(s)}
+    soluble_idx = {i for i, s in enumerate(subs) if subgroup_is_soluble(s)}
     hyp = False
     concl = None
     witness = None
@@ -886,16 +880,6 @@ def _prop_3_1(g, use_derived: bool = True, check_id: str = "lemma-3.1") -> Theor
             witness = (f"insoluble group with qualifying triple: orders "
                        f"{a.order}, {b.order}, {c.order}")
     return _report(check_id, g, params, hyp, concl, witness)
-
-
-def _subgroup_soluble(s: Subgroup) -> bool:
-    g = s.parent
-    cur = s.bits
-    while True:
-        nxt = derived_bits(g, cur)
-        if nxt == cur:
-            return cur == 1
-        cur = nxt
 
 
 def _prop_3_4(g, f: Formation, r: int, p: int) -> TheoremReport:

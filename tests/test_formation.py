@@ -209,7 +209,7 @@ def _chain_exists(g, lat, h, f):
         k = lat.subgroups[k_idx]
         cbits = core_bits(g, h.bits, k.gens)
         kgrp = as_group(k)
-        local = cbits if k.is_full else map_bits_to_sub(k, kgrp, cbits)
+        local = map_bits_to_sub(k, cbits)
         q = quotient(kgrp, subgroup_from_bits(kgrp, local)).base
         if fmember(f, q) and _chain_exists(g, lat, k, f):
             return True

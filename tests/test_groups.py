@@ -5,6 +5,7 @@ from formations.errors import ClosureExceedsCap, NotNormal
 from formations.groups import (Permutation, as_group, center, centralizer,
                                commutator_subgroup, core, direct_product,
                                from_generators, generated_subgroup, is_normal,
+                               map_bits_from_sub, map_bits_to_sub,
                                normal_closure, normalizer, product_bits,
                                quotient, subgroup_from_bits)
 
@@ -227,7 +228,10 @@ def test_materialize_roundtrip(groups):
     sub = as_group(v4)
     assert sub.order == 4
     assert sub.exponent == 2
-    assert [int(x) for x in sub.parent_embedding] == [int(m) for m in v4.members]
+    # local index i stands for parent index v4.members[i]
+    for i, m in enumerate(v4.members.tolist()):
+        assert map_bits_from_sub(v4, 1 << i) == 1 << m
+        assert map_bits_to_sub(v4, 1 << m) == 1 << i
 
 
 def test_product_bits(groups):

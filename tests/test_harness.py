@@ -2,8 +2,8 @@ import pytest
 
 from formations.errors import CorpusParseError
 from formations.formation import BUILTINS
-from formations.harness import RunConfig, lemma_instances, run_corpus
-from formations.storage import CorpusEntry, report_dumps
+from formations.harness import DEFAULT_SEED, RunConfig, lemma_instances, run_corpus
+from formations.storage import CorpusEntry, builtin_corpus_path, load_corpus, report_dumps
 from formations.structure import profile
 from formations.theorems import all_n_maximal_f_subnormal
 
@@ -44,6 +44,28 @@ def test_workers_deterministic():
     one = run_corpus(SMALL, cfg=RunConfig(workers=1), suite="smoke")
     two = run_corpus(SMALL, cfg=RunConfig(workers=2), suite="smoke")
     assert report_dumps(one) == report_dumps(two)
+
+
+def test_group_rows_independent_of_company():
+    """One group's full-suite rows are the same run alone, inside a corpus
+    and under two workers (each entry's sections are its own); its
+    seed-free rows are the same at another lemma seed."""
+    corpus = {e.name: e for e in load_corpus(builtin_corpus_path())}
+    target = corpus["S3xS3"]
+    company = [corpus[n] for n in ("S3", "S4", "Frob21", "V4")] + [target]
+
+    def rows(entries, **cfg):
+        report = run_corpus(entries, cfg=RunConfig(**cfg), detail=True)
+        return [r for r in report["results"] if r["group"] == target.name]
+
+    alone = rows([target])
+    assert any(r["suite_check"] == "lemma-suite" for r in alone)
+    assert rows(company) == alone
+    assert rows(company, workers=2) == alone
+
+    def seed_free(rs):
+        return [r for r in rs if r["suite_check"] != "lemma-suite"]
+    assert seed_free(rows([target], seed=DEFAULT_SEED + 1)) == seed_free(alone)
 
 
 def test_detail_rows_sorted():

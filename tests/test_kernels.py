@@ -4,7 +4,7 @@ lattices enumerated up to conjugacy, normal subgroups from conjugacy
 classes, and Cayley tables built column by column."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import formations
@@ -13,30 +13,8 @@ from formations.groups import Permutation, from_generators
 from formations.lattice import (all_subgroups, minimal_normal_subgroups,
                                 normal_subgroups)
 
-from conftest import table_of
+from conftest import PROPERTY, members, perm_gens, perm_groups, table_of
 from oracle import o_closure, o_maximal_in, o_normal_subgroups, o_subgroups
-
-PROPERTY = settings(max_examples=150, deadline=None)
-
-
-@st.composite
-def perm_gens(draw):
-    """1-3 permutations of one degree <= 6. Half the time each keeps the
-    points below `split` apart from the rest, so that small intransitive
-    groups are drawn as well as S6 and A6."""
-    degree = draw(st.integers(1, 6))
-    split = draw(st.just(degree) | st.integers(1, degree))
-    return [Permutation(tuple(draw(st.permutations(range(split))))
-                        + tuple(draw(st.permutations(range(split, degree)))))
-            for _ in range(draw(st.integers(1, 3)))]
-
-
-def perm_groups():
-    return perm_gens().map(lambda gens: from_generators(gens, "H"))
-
-
-def members(bits):
-    return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
 def test_backend_selected():
