@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given
 
 from formations.dsl import formation_from_text, parse_group
 from formations.errors import NoSatellite, NotMaximal
@@ -13,7 +14,7 @@ from formations.formation import (BUILTINS, MSL_UNBOUNDED, NILPOTENT,
 from formations.groups import center
 from formations.lattice import all_subgroups, chief_series, sylow
 
-from conftest import table_of
+from conftest import PROPERTY, members, perm_groups, table_of
 from oracle import o_is_nilpotent, o_is_supersoluble, o_residual
 
 N, U, S, N2 = BUILTINS["N"], BUILTINS["U"], BUILTINS["S"], BUILTINS["N^2"]
@@ -45,6 +46,17 @@ def test_residual(groups):
     assert got == o_residual(table_of(s4), o_is_supersoluble)
     got_n = frozenset(int(m) for m in residual(s3, N).members)
     assert got_n == o_residual(table_of(s3), o_is_nilpotent)
+
+
+@PROPERTY
+@given(perm_groups())
+def test_residuals_match_oracle(g):
+    """The N and U residuals: the least normal subgroups with a nilpotent
+    and a supersoluble quotient."""
+    assume(g.order <= 24)
+    table = table_of(g)
+    assert members(residual(g, N).bits) == o_residual(table, o_is_nilpotent)
+    assert members(residual(g, U).bits) == o_residual(table, o_is_supersoluble)
 
 
 def test_residual_functoriality(groups):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given
 
 from formations.dsl import parse_group
 from formations.errors import LatticeExceedsCap
@@ -8,7 +9,7 @@ from formations.lattice import (all_subgroups, chief_series,
                                 minimal_normal_subgroups, normal_subgroups,
                                 o_core, sylow, sylow_conjugates)
 
-from conftest import table_of
+from conftest import PROPERTY, perm_groups, table_of
 from oracle import (o_chief_order_multisets, o_fitting, o_frattini,
                     o_maximal_in, o_normal_subgroups, o_subgroups)
 
@@ -119,6 +120,18 @@ def test_chief_series(groups):
         assert set(oracles) == {tuple(a)}
 
 
+@PROPERTY
+@given(perm_groups())
+def test_chief_orders_match_oracle(g):
+    """Both tie-breaking directions give the factor orders of a maximal
+    chain of normal subgroups, and every such chain has the same ones."""
+    assume(g.order <= 48)
+    expected = o_chief_order_multisets(table_of(g))
+    assert len(expected) == 1
+    for reverse in (False, True):
+        assert tuple(sorted(chief_series(g, reverse).factor_orders())) in expected
+
+
 def test_chief_factor_primes_soluble(groups):
     for name in ("S4", "SL23", "Frob21", "C12", "S3 x C5"):
         for f in chief_series(groups[name]).factors:
@@ -134,6 +147,13 @@ def test_frattini(groups):
         assert bitset(frattini(g)) == o_frattini(table_of(g))
 
 
+@PROPERTY
+@given(perm_groups())
+def test_frattini_matches_oracle(g):
+    assume(g.order <= 48)
+    assert bitset(frattini(g)) == o_frattini(table_of(g))
+
+
 def test_fitting(groups):
     assert fitting(groups["S4"]).order == 4
     assert fitting(groups["S3"]).order == 3
@@ -141,6 +161,13 @@ def test_fitting(groups):
     for name in ("S4", "S3", "SL23", "A5"):
         g = groups[name]
         assert bitset(fitting(g)) == o_fitting(table_of(g))
+
+
+@PROPERTY
+@given(perm_groups())
+def test_fitting_matches_oracle(g):
+    assume(g.order <= 48)
+    assert bitset(fitting(g)) == o_fitting(table_of(g))
 
 
 def test_fitting_contains_normal_nilpotent(groups):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given
 
 from formations.dsl import parse_group
 from formations.errors import NotNormalized
@@ -10,7 +11,7 @@ from formations.structure import (dispersiveness,
                                   is_phi_dispersive, is_schmidt, is_subnormal,
                                   profile)
 
-from conftest import table_of
+from conftest import PROPERTY, members, perm_groups, table_of
 from oracle import o_is_nilpotent, o_is_subnormal, o_is_supersoluble
 
 
@@ -140,3 +141,12 @@ def test_is_subnormal(groups):
         for s in all_subgroups(g).subgroups:
             assert is_subnormal(g, s) == o_is_subnormal(
                 table_of(g), frozenset(int(m) for m in s.members))
+
+
+@PROPERTY
+@given(perm_groups())
+def test_is_subnormal_matches_oracle(g):
+    assume(g.order <= 24)
+    table = table_of(g)
+    for s in all_subgroups(g).subgroups:
+        assert is_subnormal(g, s) == o_is_subnormal(table, members(s.bits))
