@@ -201,7 +201,7 @@ def cmd_corpus(args) -> int:
         wanted = set(args.tags.split(","))
         entries = [e for e in entries if wanted & set(e.tags)]
     cfg = RunConfig(seed=args.seed, workers=args.workers, cache_dir=args.cache_dir,
-                    timing=args.timing, order_cap=args.order_cap)
+                    order_cap=args.order_cap)
     started = time.monotonic()
     report = run_corpus(entries, cfg=cfg, suite=args.suite, detail=args.detail)
     if args.timing:

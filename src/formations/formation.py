@@ -27,10 +27,8 @@ from typing import Callable, Optional
 
 from .arith import is_prime, p_part, prime_divisors
 from .errors import NoSatellite, NotMaximal
-import numpy as np
-
-from .groups import (FiniteGroup, Subgroup, as_group, bits_of_array,
-                     core_bits, derived_bits, map_bits_to_sub, quotient,
+from .groups import (FiniteGroup, Subgroup, as_group, bits_of, core_bits,
+                     derived_bits, map_bits_to_sub, quotient,
                      subgroup_from_bits)
 from .lattice import (ChiefFactor, SubgroupLattice, all_subgroups,
                       chief_series, minimal_normal_subgroups, normal_subgroups)
@@ -336,17 +334,13 @@ BUILTINS: dict[str, Formation] = {
 
 def factor_centralizer_bits(g: FiniteGroup, factor: ChiefFactor) -> int:
     """C_G(H/K) = {x : [x, h] in K for all h in H} (generators of H suffice)."""
-    n = g.order
-    kf = np.zeros(n, dtype=bool)
-    kf[factor.lower.members] = True
-    mask = np.ones(n, dtype=bool)
-    t, inv = g.table, g.inv
+    rows, inv, lower = g.right_rows, g.inv, factor.lower.bits
+    keep = range(g.order)
     for h in factor.upper.gens:
-        u = t[:, h]
-        v = t[h, :]
-        comm = t[inv[v], u]
-        mask &= kf[comm]
-    return bits_of_array(np.flatnonzero(mask), n)
+        hrow = rows[h]
+        # [x, h] = (hx)^-1 (xh)
+        keep = [x for x in keep if lower >> rows[hrow[x]][inv[rows[x][h]]] & 1]
+    return bits_of(keep)
 
 
 def is_f_central(g: FiniteGroup, factor: ChiefFactor, f: Formation) -> bool:

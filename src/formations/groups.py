@@ -4,7 +4,8 @@ Groups are built from permutation generators (or products/quotients of other
 groups) and stored as an indexed element list with a full multiplication
 table, so every downstream predicate works uniformly regardless of origin.
 The identity always has index 0 and element ordering is deterministic
-(breadth-first from the identity, generator order fixed).
+(breadth-first from the identity, generator order fixed). The table is kept
+once, as a tuple of right-multiplication rows: row y is the tuple x -> x*y.
 
 Element subsets are handled as Python int bitmasks throughout; subgroups are
 thin wrappers around such a mask plus a small generating set.
@@ -15,20 +16,25 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
+from itertools import chain, compress, count
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from .arith import factorize, prime_divisors
+from .arith import factorize, p_part, prime_divisors
 from .errors import ClosureExceedsCap, NotNormal
 
 DEFAULT_ORDER_CAP = 5000
 
+Rows = tuple[tuple[int, ...], ...]
+
 
 # ---------------------------------------------------------------------------
 # bitmask helpers
+
+
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_INDEX = tuple(range(DEFAULT_ORDER_CAP))  # one int object per index, shared
 
 
 def bits_of(indices: Iterable[int]) -> int:
@@ -38,26 +44,28 @@ def bits_of(indices: Iterable[int]) -> int:
     return b
 
 
-def bits_of_array(arr: np.ndarray, n: int) -> int:
-    """Bitmask of an index array, packed in C instead of a Python loop."""
-    flags = np.zeros(n, dtype=bool)
-    flags[arr] = True
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+def indices_of(bits: int) -> list[int]:
+    """Ascending indices of the set bits of a bitmask."""
+    flags = bin(bits)[:1:-1].encode().translate(_FLAGS)
+    return list(compress(_INDEX if len(flags) <= len(_INDEX) else count(), flags))
 
 
-def bits_to_array(bits: int, n: int) -> np.ndarray:
-    """Sorted member indices of a bitmask, as an int32 array."""
-    raw = bits.to_bytes((n + 7) // 8, "little")
-    flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
-    return np.flatnonzero(flags).astype(np.int32)
-
-
-def table_fingerprint(table: np.ndarray) -> str:
-    """Stable sha256 of a Cayley table (`FiniteGroup.fingerprint`)."""
+def table_fingerprint(rows: Rows) -> str:
+    """Stable sha256 of a Cayley table given by its right-multiplication
+    rows (`FiniteGroup.fingerprint`): the int32 products a*b, a major."""
     h = hashlib.sha256(b"cayley/1:")
-    h.update(table.shape[0].to_bytes(4, "little"))
-    h.update(np.ascontiguousarray(table, dtype=np.int32).tobytes())
+    h.update(len(rows).to_bytes(4, "little"))
+    for products in zip(*rows):
+        h.update(array("i", products))
     return h.hexdigest()
+
+
+def _getter(idx: Sequence[int]):
+    """The function taking seq to the tuple of seq[i] for i in idx."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
 
 
 # ---------------------------------------------------------------------------
@@ -132,37 +140,36 @@ class Permutation:
 class FiniteGroup:
     """Finite group as an indexed element list with a dense Cayley table.
 
+    The table is `right_rows`: `right_rows[y][x]` is the index of x*y.
     Immutable after construction; memo dictionaries hang off the instance and
     only ever grow, so sharing across threads is safe per the package's
     single-writer contract.
     """
 
-    def __init__(self, name: str, table: np.ndarray, generators: Sequence[int] = (),
+    def __init__(self, name: str, right_rows: Sequence[Sequence[int]],
+                 generators: Sequence[int] = (),
                  labels: Optional[tuple[str, ...]] = None):
-        table = np.ascontiguousarray(table, dtype=np.int32)
-        n = table.shape[0]
-        if table.shape != (n, n):
-            raise ValueError("Cayley table must be square")
+        rows = tuple(map(tuple, right_rows))
+        n = len(rows)
         if n == 0:
             raise ValueError("a group has at least one element")
-        if not (np.array_equal(table[0], np.arange(n)) and np.array_equal(table[:, 0], np.arange(n))):
+        if any(len(row) != n for row in rows):
+            raise ValueError("Cayley table must be square")
+        if rows[0] != tuple(range(n)) or any(row[0] != y for y, row in enumerate(rows)):
             raise ValueError("identity must sit at index 0")
         self.name = name
-        self.table = table
+        self.right_rows: Rows = rows
         self.order = n
-        inv = np.empty(n, dtype=np.int32)
-        rows, cols = np.nonzero(table == 0)
-        inv[rows] = cols
-        self.inv = inv
-        self.generators = tuple(int(g) for g in generators)
+        self.inv = tuple(row.index(0) for row in rows)  # x * y = 1 in row y
+        self.generators = tuple(generators)
         self.labels = labels
-        self._orders: Optional[np.ndarray] = None
+        self._orders: Optional[tuple[int, ...]] = None
         self._fingerprint: Optional[str] = None
         self._memo: dict = {}          # per-formation membership and residuals
         self._quotients: dict = {}     # kernel bits -> QuotientGroup
         self._materialized: dict = {}  # subgroup bits -> FiniteGroup
         self._lattice = None
-        self._right: list = [None] * n  # right_row(y), filled on first use
+        self._conj: list = [None] * n  # conjugation_row(x), filled on first use
         self._registry: Optional[dict] = None  # see `_section`
 
     # -- basics ------------------------------------------------------------
@@ -171,10 +178,10 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
     def mult(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.right_rows[b][a]
 
     def inverse(self, a: int) -> int:
-        return int(self.inv[a])
+        return self.inv[a]
 
     @property
     def identity(self) -> int:
@@ -184,31 +191,35 @@ class FiniteGroup:
     def fingerprint(self) -> str:
         """Stable digest of the multiplication table (lattice cache key)."""
         if self._fingerprint is None:
-            self._fingerprint = table_fingerprint(self.table)
+            self._fingerprint = table_fingerprint(self.right_rows)
         return self._fingerprint
 
-    def element_orders(self) -> np.ndarray:
+    def element_orders(self) -> tuple[int, ...]:
         if self._orders is None:
-            n = self.order
-            orders = np.ones(n, dtype=np.int32)
-            for i in range(1, n):
+            orders = [1] * self.order
+            for i, row in enumerate(self.right_rows):
                 k, x = 1, i
-                while x != 0:
-                    x = int(self.table[x, i])
+                while x:
+                    x = row[x]
                     k += 1
                 orders[i] = k
-            self._orders = orders
+            self._orders = tuple(orders)
         return self._orders
 
     @property
     def exponent(self) -> int:
         out = 1
-        for o in set(int(x) for x in self.element_orders()):
+        for o in set(self.element_orders()):
             out = out * o // gcd(out, o)
         return out
 
+    def commute(self, elems: Sequence[int]) -> bool:
+        """Whether the elements commute pairwise."""
+        rows = self.right_rows
+        return all(rows[b][a] == rows[a][b] for i, a in enumerate(elems) for b in elems[:i])
+
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return self.commute(self.generators or range(self.order))
 
     def pi(self) -> tuple[int, ...]:
         return prime_divisors(self.order)
@@ -222,22 +233,16 @@ class FiniteGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, self.full_bits(), gens=self.generators)
 
-    def right_row(self, y: int):
-        """Right multiplication by y, x -> x*y (column y of the table).
+    def right_row(self, y: int) -> tuple[int, ...]:
+        """Right multiplication by y, x -> x*y."""
+        return self.right_rows[y]
 
-        Cached per group as bytes when every index fits a byte, else as an
-        unsigned array whose width follows the order.
-        """
-        row = self._right[y]
+    def conjugation_row(self, x: int) -> tuple[int, ...]:
+        """Conjugation by x, y -> x^-1 y x, memoized per element."""
+        row = self._conj[x]
         if row is None:
-            col = self.table[:, y]
-            if self.order <= 1 << 8:
-                row = col.astype(np.uint8).tobytes()
-            elif self.order <= 1 << 16:
-                row = array("H", col.astype(np.uint16).tobytes())
-            else:
-                row = array("I", col.astype(np.uint32).tobytes())
-            self._right[y] = row
+            left = map(itemgetter(self.inv[x]), self.right_rows)  # y -> x^-1 y
+            row = self._conj[x] = tuple(map(self.right_rows[x].__getitem__, left))
         return row
 
     def closure_bits(self, gens: Sequence[int]) -> int:
@@ -253,7 +258,6 @@ class FiniteGroup:
         elems: list[int] = [0]
         rows: list = []
         for s in gens:
-            s = int(s)
             if flags[s] != 49 and not self._dimino(flags, elems, rows, s):
                 return (1 << n) - 1
         flags.reverse()
@@ -289,8 +293,8 @@ class FiniteGroup:
         [G:H], so one more coset means <H, s> = G: then this returns False
         and leaves the state partial.
         """
-        cache, right_row = self._right, self.right_row
-        row = cache[s] or right_row(s)
+        right = self.right_rows
+        row = right[s]
         rows.append(row)
         if len(elems) == 1:  # H = 1: <s> is the orbit of 1 under s
             z = s
@@ -309,7 +313,7 @@ class FiniteGroup:
                 if flags[z] != 49:
                     if len(reps) == most:
                         return False
-                    coset = take(cache[z] or right_row(z))
+                    coset = take(right[z])
                     for x in coset:
                         flags[x] = 49
                     elems.extend(coset)
@@ -330,16 +334,17 @@ class Subgroup:
         self.parent = parent
         self.bits = bits
         self._gens = tuple(gens) if gens is not None else None
-        self._members: Optional[np.ndarray] = None
+        self._members: Optional[tuple[int, ...]] = None
 
     @property
     def order(self) -> int:
         return self.bits.bit_count()
 
     @property
-    def members(self) -> np.ndarray:
+    def members(self) -> tuple[int, ...]:
+        """Member indices in ascending order."""
         if self._members is None:
-            self._members = bits_to_array(self.bits, self.parent.order)
+            self._members = tuple(indices_of(self.bits))
         return self._members
 
     @property
@@ -349,7 +354,6 @@ class Subgroup:
             gens: list[int] = []
             have = 1
             for m in self.members:
-                m = int(m)
                 if not (have >> m) & 1:
                     gens.append(m)
                     have = self.parent.closure_bits(gens)
@@ -381,9 +385,9 @@ class Subgroup:
 
     def describe(self, limit: int = 16) -> str:
         """Deterministic short description for report witnesses."""
-        mem = [int(m) for m in self.members[:limit]]
         tail = ", ..." if self.order > limit else ""
-        return f"order {self.order} <= {self.parent.name}, members [{', '.join(map(str, mem))}{tail}]"
+        mem = ", ".join(map(str, self.members[:limit]))
+        return f"order {self.order} <= {self.parent.name}, members [{mem}{tail}]"
 
 
 @dataclass
@@ -393,17 +397,14 @@ class QuotientGroup:
     kernel belong to this (G, N)."""
 
     base: FiniteGroup
-    projection: np.ndarray
+    projection: tuple[int, ...]
     kernel: Subgroup
 
     def project_bits(self, bits: int) -> int:
-        src = bits_to_array(bits, self.kernel.parent.order)
-        return bits_of_array(self.projection[src], self.base.order)
+        return bits_of(map(self.projection.__getitem__, indices_of(bits)))
 
     def preimage_bits(self, bits: int) -> int:
-        qmem = bits_to_array(bits, self.base.order)
-        keep = np.flatnonzero(np.isin(self.projection, qmem))
-        return bits_of_array(keep, len(self.projection))
+        return bits_of(x for x, c in enumerate(self.projection) if bits >> c & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +444,13 @@ def from_generators(gens: Sequence[Permutation], name: str,
                 via.append(s)
             right[s].append(k)
 
-    # column k of the table is x -> x*k = (x*parent)*gen, one gather each
-    n = len(elems)
-    right_arr = np.array(right, dtype=np.int32)
-    cols = np.empty((n, n), dtype=np.int32)
-    cols[0] = np.arange(n, dtype=np.int32)
-    for k in range(1, n):
-        cols[k] = right_arr[via[k]][cols[parent[k]]]
-    table = cols.T
+    # row k is x -> x*k = (x*parent)*gen, one gather each
+    rows = [tuple(range(len(elems)))]
+    for k in range(1, len(elems)):
+        rows.append(_getter(rows[parent[k]])(right[via[k]]))
     gen_idx = [index[g.images] for g in gens]
     labels = tuple(_perm_label(p) for p in elems)
-    return FiniteGroup(name, table, generators=gen_idx, labels=labels)
+    return FiniteGroup(name, rows, generators=gen_idx, labels=labels)
 
 
 def _perm_label(images: tuple[int, ...]) -> str:
@@ -469,16 +466,15 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: Optional[str] = None,
     n, m = g.order, h.order
     if n * m > cap:
         raise ClosureExceedsCap(f"direct product order {n * m} exceeds cap {cap}")
-    gt = g.table.astype(np.int64)
-    ht = h.table.astype(np.int64)
-    big = (np.kron(gt, np.ones((m, m), dtype=np.int64)) * m
-           + np.tile(ht, (n, n)))
+    # row (c, d) maps (a, b) to (a*c, b*d): h's row d shifted to block a*c
+    blocks = [[tuple(a * m + y for y in hrow) for a in range(n)] for hrow in h.right_rows]
+    rows = [tuple(chain.from_iterable(map(blocks[d].__getitem__, grow)))
+            for grow in g.right_rows for d in range(m)]
     gens = [a * m for a in g.generators] + [b for b in h.generators]
     labels = None
     if g.labels and h.labels:
         labels = tuple(f"({g.labels[a]},{h.labels[b]})" for a in range(n) for b in range(m))
-    return FiniteGroup(name or f"{g.name} x {h.name}", big.astype(np.int32),
-                       generators=gens, labels=labels)
+    return FiniteGroup(name or f"{g.name} x {h.name}", rows, generators=gens, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +483,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: Optional[str] = None,
 
 def generated_subgroup(g: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of g containing the seed indices."""
-    gens = sorted(set(int(s) for s in seed))
+    gens = sorted(set(seed))
     bits = g.closure_bits(gens)
     return Subgroup(g, bits, gens=tuple(gens))
 
@@ -496,31 +492,37 @@ def subgroup_from_bits(g: FiniteGroup, bits: int) -> Subgroup:
     return Subgroup(g, bits)
 
 
+def p_element_bits(g: FiniteGroup, p: int, within: Optional[int] = None) -> int:
+    """Bitmask of the elements of p-power order (identity included), only
+    those in the member set `within` when it is given. Memoized per prime."""
+    key = ("p_elements", p)
+    bits = g._memo.get(key)
+    if bits is None:
+        bits = g._memo[key] = bits_of(x for x, o in enumerate(g.element_orders())
+                                      if p_part(o, p) == o)
+    return bits if within is None else bits & within
+
+
 def conjugate_bits(g: FiniteGroup, bits: int, x: int) -> int:
     """Bitmask of {x^-1 s x : s in bits}."""
-    mem = bits_to_array(bits, g.order)
-    conj = g.table[g.table[g.inv[x], mem], x]
-    return bits_of_array(conj, g.order)
+    return bits_of(map(g.conjugation_row(x).__getitem__, indices_of(bits)))
 
 
 def product_bits(g: FiniteGroup, abits: int, bbits: int) -> int:
-    """Bitmask of the element-set product A * B."""
-    a = bits_to_array(abits, g.order)
-    b = bits_to_array(bbits, g.order)
-    prods = g.table[np.ix_(a, b)]
-    return bits_of_array(prods.ravel(), g.order)
+    """Bitmask of the product A * B of a subgroup A and a set B: the union
+    of the right cosets A*y, y in B, each gathered once."""
+    take = _getter(indices_of(abits))
+    out = 0
+    for y in indices_of(bbits):
+        if not out >> y & 1:
+            out |= bits_of(take(g.right_rows[y]))
+    return out
 
 
-def conjugation_actions(g: FiniteGroup) -> list[list[int]]:
-    """The permutations y -> s^-1 y s of g's elements, one list per
-    generator s (per element when g records no generators). Memoized on
-    the group."""
-    actions = g._memo.get("conj_actions")
-    if actions is None:
-        actions = [g.table[g.table[g.inv[s]], s].tolist()
-                   for s in g.generators or range(g.order)]
-        g._memo["conj_actions"] = actions
-    return actions
+def conjugation_actions(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """The permutations y -> s^-1 y s of g's elements, one per generator s
+    (per element when g records no generators)."""
+    return [g.conjugation_row(s) for s in g.generators or range(g.order)]
 
 
 def conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
@@ -551,8 +553,8 @@ def conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    gens = g.generators or range(g.order)
-    return all(conjugate_bits(g, h.bits, x) == h.bits for x in gens)
+    take = _getter(h.members)
+    return all(bits_of(take(act)) == h.bits for act in conjugation_actions(g))
 
 
 def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
@@ -566,7 +568,7 @@ def core_bits(g: FiniteGroup, hbits: int, conj_gens: Sequence[int]) -> int:
     while changed:
         changed = False
         for x in conj_gens:
-            nxt = cur & conjugate_bits(g, cur, int(x))
+            nxt = cur & conjugate_bits(g, cur, x)
             if nxt != cur:
                 cur = nxt
                 changed = True
@@ -579,51 +581,59 @@ def normal_closure(g: FiniteGroup, h: Subgroup) -> Subgroup:
 
 
 def normal_closure_bits(g: FiniteGroup, hbits: int, conj_gens: Sequence[int]) -> int:
-    cur = g.closure_bits([int(m) for m in bits_to_array(hbits, g.order)])
-    while True:
-        acc = cur
-        for x in conj_gens:
-            acc |= conjugate_bits(g, cur, int(x))
-        if acc == cur:
-            return cur
-        cur = g.closure_bits([int(m) for m in bits_to_array(acc, g.order)])
+    """Smallest subgroup containing hbits that conj_gens normalize.
+
+    Starting from the members of hbits as generators, each conjugate of a
+    generator that falls outside the closure so far joins the generators;
+    when none does, every generator's conjugates lie inside.
+    """
+    gens = indices_of(hbits)
+    cur = g.closure_bits(gens)
+    actions = [g.conjugation_row(x) for x in conj_gens]
+    for t in gens:  # grows while it is read
+        for act in actions:
+            u = act[t]
+            if not cur >> u & 1:
+                gens.append(u)
+                cur = g.closure_bits(gens)
+    return cur
 
 
 def centralizer(g: FiniteGroup, subset: Iterable[int]) -> Subgroup:
-    """{x : xs = sx for all s in subset}."""
-    pts = sorted(set(int(s) for s in subset))
-    if not pts:
-        return g.full_subgroup()
-    arr = np.asarray(pts, dtype=np.int32)
-    left = g.table[:, arr]          # x * s
-    right = g.table[arr, :].T       # s * x
-    mask = np.all(left == right, axis=1)
-    return Subgroup(g, bits_of_array(np.flatnonzero(mask), g.order))
+    """{x : xs = sx for all s in subset}; generators of <subset> suffice."""
+    rows = g.right_rows
+    keep: Iterable[int] = range(g.order)
+    for s in set(subset):
+        row = rows[s]
+        keep = [x for x in keep if row[x] == rows[x][s]]
+    return Subgroup(g, bits_of(keep))
 
 
 def normalizer(g: FiniteGroup, h: Subgroup) -> Subgroup:
-    """{x : h^x = h}."""
-    mem = h.members
-    a = g.table[g.inv][:, mem]                       # x^-1 * m, all x at once
-    b = g.table[a, np.arange(g.order)[:, None]]      # (x^-1 m) * x
-    flags = np.zeros(g.order, dtype=bool)
-    flags[mem] = True
-    mask = np.all(flags[b], axis=1)
-    return Subgroup(g, bits_of_array(np.flatnonzero(mask), g.order))
+    """{x : h^x = h}: the x that conjugate every generator of h into h."""
+    rows, inv, bits = g.right_rows, g.inv, h.bits
+    keep: Iterable[int] = range(g.order)
+    for t in h.gens:
+        trow = rows[t]
+        keep = [x for x in keep if bits >> rows[x][trow[inv[x]]] & 1]
+    return Subgroup(g, bits_of(keep))
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    mask = np.all(g.table == g.table.T, axis=1)
-    return Subgroup(g, bits_of_array(np.flatnonzero(mask), g.order))
+    return centralizer(g, g.generators or range(g.order))
 
 
 def derived_bits(g: FiniteGroup, bits: int) -> int:
-    """Bitmask of the commutator subgroup [H, H] for H given by bits."""
-    mem = bits_to_array(bits, g.order)
-    ab = g.table[np.ix_(mem, mem)]
-    ba = ab.T
-    comms = np.unique(g.table[g.inv[ba], ab])
-    return g.closure_bits([int(c) for c in comms])
+    """Bitmask of the commutator subgroup [H, H] for H given by bits: the
+    normal closure in H of the commutators of H's generators."""
+    if bits == g.full_bits():
+        gens = g.generators or tuple(range(g.order))
+    else:
+        gens = Subgroup(g, bits).gens
+    rows, inv = g.right_rows, g.inv
+    # [a, b] = (ba)^-1 (ab)
+    comms = [rows[rows[b][a]][inv[rows[a][b]]] for i, a in enumerate(gens) for b in gens[:i]]
+    return normal_closure_bits(g, bits_of(comms) | 1, gens)
 
 
 def commutator_subgroup(g: FiniteGroup) -> Subgroup:
@@ -642,20 +652,21 @@ def quotient(g: FiniteGroup, n: Subgroup) -> QuotientGroup:
         return g._quotients[n.bits]
     if not is_normal(g, n):
         raise NotNormal(f"subgroup of order {n.order} is not normal in {g.name}")
-    mem = n.members
-    nelem = g.order
-    coset_of = np.full(nelem, -1, dtype=np.int32)
-    reps = []
-    for i in range(nelem):
-        if coset_of[i] < 0:
-            coset = g.table[i, mem]
-            coset_of[coset] = len(reps)
-            reps.append(i)
-    reps_arr = np.asarray(reps, dtype=np.int32)
-    qtable = coset_of[g.table[np.ix_(reps_arr, reps_arr)]]
-    gens = sorted(set(int(coset_of[x]) for x in (g.generators or range(nelem))) - {0})
-    base = _section(g, qtable, gens)
-    q = QuotientGroup(base=base, projection=coset_of, kernel=n)
+    if n.is_trivial:
+        q = QuotientGroup(base=g, projection=tuple(range(g.order)), kernel=n)
+    else:
+        rows, take = g.right_rows, _getter(n.members)
+        coset_of = [-1] * g.order
+        reps = []
+        for i in range(g.order):
+            if coset_of[i] < 0:
+                for x in take(rows[i]):  # N*i = i*N
+                    coset_of[x] = len(reps)
+                reps.append(i)
+        take = _getter(reps)
+        qrows = [_getter(take(rows[y]))(coset_of) for y in reps]
+        gens = sorted(set(coset_of[x] for x in (g.generators or range(g.order))) - {0})
+        q = QuotientGroup(base=_section(g, qrows, gens), projection=tuple(coset_of), kernel=n)
     g._quotients[n.bits] = q
     return q
 
@@ -677,38 +688,41 @@ def as_group(h: Subgroup) -> FiniteGroup:
     if cached is not None:
         return cached
     mem = h.members
-    local = np.full(g.order, -1, dtype=np.int32)
-    local[mem] = np.arange(h.order, dtype=np.int32)
-    table = local[g.table[np.ix_(mem, mem)]]
-    if table.min() < 0:
+    local = [-1] * g.order
+    for i, x in enumerate(mem):
+        local[x] = i
+    take = _getter(mem)
+    rows = [_getter(take(g.right_rows[y]))(local) for y in mem]
+    if min(map(min, rows)) < 0:
         raise ValueError("member set is not closed under multiplication")
-    gens = [int(local[x]) for x in h.gens if local[x] > 0]
-    sub = _section(g, table, gens)
+    gens = [local[x] for x in h.gens if local[x] > 0]
+    sub = _section(g, rows, gens)
     g._materialized[h.bits] = sub
     return sub
 
 
-def _section(g: FiniteGroup, table: np.ndarray, gens: Sequence[int]) -> FiniteGroup:
+def _section(g: FiniteGroup, rows: Sequence[tuple[int, ...]], gens: Sequence[int]) -> FiniteGroup:
     """The group with this Cayley table among g's root and every group
     derived from it by `quotient` and `as_group`.
 
     A group that is not itself derived is a root. Its registry, which maps
-    table fingerprints to groups, is made on its first derivation, with the
-    root registered first; derived groups share it. A table not yet
-    registered becomes a new group named after the root, its order and its
-    fingerprint, so the name does not depend on how it was reached.
+    tables (right-row tuples) to groups, is made on its first derivation,
+    with the root registered first; derived groups share it. A table not
+    yet registered becomes a new group named after the root, its order and
+    its fingerprint, so the name does not depend on how it was reached.
     """
     registry = g._registry
     if registry is None:
-        registry = g._registry = {g.fingerprint: g}
-    key = table_fingerprint(table)
-    sec = registry.get(key)
+        registry = g._registry = {g.right_rows: g}
+    rows = tuple(rows)
+    sec = registry.get(rows)
     if sec is None:
         root = next(iter(registry.values()))
-        sec = FiniteGroup(f"{root.name}|{len(table)}.{key[:8]}", table, generators=gens)
+        key = table_fingerprint(rows)
+        sec = FiniteGroup(f"{root.name}|{len(rows)}.{key[:8]}", rows, generators=gens)
         sec._fingerprint = key
         sec._registry = registry
-        registry[key] = sec
+        registry[rows] = sec
     return sec
 
 
@@ -717,11 +731,7 @@ def map_bits_to_sub(h: Subgroup, bits: int) -> int:
     of as_group(h), where local index i is h.members[i]."""
     if h.is_full:
         return bits
-    out = 0
-    for li, pi in enumerate(h.members.tolist()):
-        if bits >> pi & 1:
-            out |= 1 << li
-    return out
+    return bits_of(i for i, x in enumerate(h.members) if bits >> x & 1)
 
 
 def map_bits_from_sub(h: Subgroup, bits: int) -> int:
@@ -729,11 +739,7 @@ def map_bits_from_sub(h: Subgroup, bits: int) -> int:
     parent's: local index i is h.members[i]."""
     if h.is_full:
         return bits
-    out = 0
-    for li, pi in enumerate(h.members.tolist()):
-        if bits >> li & 1:
-            out |= 1 << pi
-    return out
+    return bits_of(map(h.members.__getitem__, indices_of(bits)))
 
 
 def intersection_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -744,9 +750,8 @@ def intersection_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
 
 def join_bits(g: FiniteGroup, abits: int, bbits: int) -> int:
     """Subgroup generated by the union of two member sets."""
-    mem = bits_to_array(abits | bbits, g.order)
-    return g.closure_bits([int(m) for m in mem])
+    return g.closure_bits(indices_of(abits | bbits))
 
 
 def trivial_group(name: str = "1") -> FiniteGroup:
-    return FiniteGroup(name, np.zeros((1, 1), dtype=np.int32), generators=())
+    return FiniteGroup(name, ((0,),), generators=())

@@ -34,7 +34,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     workers: int = 1
     cache_dir: Optional[str] = None
-    timing: bool = False
     order_cap: int = 5000
     lemma_groups_max_order: int = 400   # lattice-heavy lemma sampling bound
     lemma_instances_per_group: int = 4

@@ -27,9 +27,9 @@ from typing import Iterator, Optional
 
 from .arith import p_part, pi_part, prime_divisors
 from .errors import LatticeExceedsCap
-from .groups import (FiniteGroup, Subgroup, bits_to_array, conjugacy_classes,
-                     conjugate_bits, conjugation_actions, join_bits, normalizer,
-                     quotient, subgroup_from_bits)
+from .groups import (FiniteGroup, Subgroup, conjugacy_classes, conjugate_bits,
+                     conjugation_actions, indices_of, join_bits, normalizer,
+                     p_element_bits, quotient, subgroup_from_bits)
 
 DEFAULT_LATTICE_ORDER_CAP = 1000
 DEFAULT_SUBGROUP_CAP = 100000
@@ -112,7 +112,7 @@ def all_subgroups(g: FiniteGroup,
         x = cls[0]
         bits = g.closure_bits([x])
         if bits not in walk.found and len(prime_divisors(bits.bit_count())) == 1:
-            walk.add_class(bits_to_array(bits, g.order).tolist(), bits, (x,))
+            walk.add_class(indices_of(bits), bits, (x,))
     extenders = [gens[0] for bits, gens in walk.found.items() if bits != 1]
 
     # extend each class representative by every cyclic subgroup outside it
@@ -192,11 +192,10 @@ class _ClassWalk:
         """maximals_of for the sorted subgroups: each representative's covers
         by a containment scan, conjugated along its orbit."""
         out: list[list[int]] = [[] for _ in subs]
-        n = self.g.order
         for orbit in self.orbits:
             i = index_of[orbit[0][0]]
             out[i] = _covers(subs, i)
-            images = [[bits_to_array(subs[j].bits, n).tolist() for j in out[i]]]
+            images = [[subs[j].members for j in out[i]]]
             for bits, parent, a in orbit[1:]:
                 act = self.actions[a]
                 mapped = [list(map(act.__getitem__, e)) for e in images[parent]]
@@ -369,19 +368,14 @@ def sylow(g: FiniteGroup, p: int) -> Subgroup:
     target = p_part(g.order, p)
     if target == 1:
         return g.trivial_subgroup()
-    orders = g.element_orders()
     cur = g.trivial_subgroup()
     while cur.order < target:
-        nz = normalizer(g, cur)
-        pick = None
-        for x in nz.members:
-            x = int(x)
-            if not cur.contains(x) and orders[x] % p == 0 and p_part(int(orders[x]), p) == orders[x]:
-                pick = x
-                break
-        if pick is None:
+        # the least p-element normalizing cur from outside it
+        picks = p_element_bits(g, p, normalizer(g, cur).bits) & ~cur.bits
+        if not picks:
             raise RuntimeError(f"Sylow construction stalled in {g.name} at order {cur.order}")
-        cur = subgroup_from_bits(g, g.closure_bits([*cur.gens, pick]))
+        gens = (*cur.gens, (picks & -picks).bit_length() - 1)
+        cur = Subgroup(g, g.closure_bits(gens), gens=gens)
     best = cur.bits
     seen = {cur.bits}
     work = [cur.bits]
@@ -389,7 +383,7 @@ def sylow(g: FiniteGroup, p: int) -> Subgroup:
     while work:
         b = work.pop()
         for x in conj_gens:
-            c = conjugate_bits(g, b, int(x))
+            c = conjugate_bits(g, b, x)
             if c not in seen:
                 seen.add(c)
                 work.append(c)
@@ -409,7 +403,7 @@ def sylow_conjugates(g: FiniteGroup, p: int) -> list[Subgroup]:
     while work:
         b = work.pop()
         for x in conj_gens:
-            c = conjugate_bits(g, b, int(x))
+            c = conjugate_bits(g, b, x)
             if c not in seen:
                 seen.add(c)
                 work.append(c)

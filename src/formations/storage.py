@@ -1,8 +1,9 @@
 """Persistence: corpus files, JSON reports, and the lattice cache.
 
 All three formats are JSON with an explicit schema version. Reports are
-dumped with sorted keys and no timestamps (unless timing was requested), so
-identical runs produce byte-identical files. Cache writes go through a
+dumped with sorted keys and no timestamps, so identical runs produce
+byte-identical files; only `formations corpus --timing` adds a wall-clock
+field (`elapsed_seconds`) to a report. Cache writes go through a
 temp-file-then-rename so concurrent readers never observe a partial file.
 """
 
@@ -118,7 +119,7 @@ def cache_lattice(g: FiniteGroup, lat: SubgroupLattice, directory) -> Path:
         "schema": CACHE_SCHEMA,
         "fingerprint": g.fingerprint,
         "order": g.order,
-        "subgroups": [[int(m) for m in s.members] for s in lat.subgroups],
+        "subgroups": [list(s.members) for s in lat.subgroups],
         "gens": [list(s.gens) for s in lat.subgroups],
         "maximals": lat.maximals_of,
     }

@@ -12,14 +12,12 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-import numpy as np
-
 from .arith import p_part, prime_divisors
 from .errors import NotNormalized
 from .groups import (FiniteGroup, QuotientGroup, Subgroup, as_group,
-                     bits_of_array, centralizer, conjugate_bits, derived_bits,
-                     map_bits_to_sub, normal_closure_bits, quotient,
-                     subgroup_from_bits)
+                     centralizer, conjugate_bits, derived_bits,
+                     map_bits_to_sub, normal_closure_bits, p_element_bits,
+                     quotient, subgroup_from_bits)
 from .lattice import all_subgroups, chief_series, fitting, normal_subgroups
 
 DispersiveOrdering = tuple[int, ...]
@@ -34,13 +32,6 @@ class StructureProfile:
     supersoluble: bool
     nilpotent_length: Optional[int]
     exponent: int
-
-
-def p_element_bits(g: FiniteGroup, p: int) -> int:
-    """Bitmask of the elements of p-power order (identity included)."""
-    orders = g.element_orders()
-    mask = np.array([p_part(int(o), p) == int(o) for o in orders])
-    return bits_of_array(np.flatnonzero(mask), g.order)
 
 
 def has_normal_sylow(g: FiniteGroup, p: int) -> Optional[Subgroup]:
@@ -100,15 +91,10 @@ def profile(g: FiniteGroup) -> StructureProfile:
 
 
 def subgroup_is_nilpotent(h: Subgroup) -> bool:
-    g = h.parent
-    orders = g.element_orders()
-    mem = h.members
-    for p in prime_divisors(h.order):
-        target = p_part(h.order, p)
-        count = sum(1 for m in mem if p_part(int(orders[m]), p) == int(orders[m]))
-        if count != target:
-            return False
-    return True
+    """Every Sylow subgroup of h is normal: h has exactly p_part(|h|, p)
+    elements of p-power order for each prime p."""
+    return all(p_element_bits(h.parent, p, h.bits).bit_count() == p_part(h.order, p)
+               for p in prime_divisors(h.order))
 
 
 def subgroup_is_soluble(h: Subgroup) -> bool:
@@ -122,10 +108,7 @@ def subgroup_is_soluble(h: Subgroup) -> bool:
 
 
 def subgroup_is_abelian(h: Subgroup) -> bool:
-    g = h.parent
-    mem = h.members
-    block = g.table[np.ix_(mem, mem)]
-    return bool(np.array_equal(block, block.T))
+    return h.parent.commute(h.gens)
 
 
 def is_schmidt(g: FiniteGroup) -> bool:
@@ -215,7 +198,7 @@ def induced_action(h: Subgroup, p_sub: Subgroup) -> QuotientGroup:
     for x in h.gens:
         if conjugate_bits(g, p_sub.bits, x) != p_sub.bits:
             raise NotNormalized(f"subgroup does not normalize the target in {g.name}")
-    cent = centralizer(g, (int(m) for m in p_sub.members))
+    cent = centralizer(g, p_sub.gens)
     hgrp = as_group(h)
     ker_bits = map_bits_to_sub(h, cent.bits & h.bits)
     return quotient(hgrp, subgroup_from_bits(hgrp, ker_bits))

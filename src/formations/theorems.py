@@ -26,7 +26,8 @@ from .formation import (Formation, SOLUBLE, SUPERSOLUBLE,
 from .groups import (FiniteGroup, Subgroup, as_group, center, centralizer,
                      conjugate_bits, core_bits, derived_bits, is_normal,
                      map_bits_from_sub, map_bits_to_sub, normalizer,
-                     product_bits, quotient, subgroup_from_bits)
+                     p_element_bits, product_bits, quotient,
+                     subgroup_from_bits)
 from .lattice import (ChiefFactor, all_subgroups, fitting, frattini, hall,
                       minimal_normal_subgroups, normal_subgroups,
                       sylow_conjugates)
@@ -45,14 +46,13 @@ class TheoremReport:
     conclusion_holds: Optional[bool]   # None = not applicable
     witness: Optional[str] = None
     notes: tuple[str, ...] = ()
-    elapsed: Optional[float] = None
 
     @property
     def is_violation(self) -> bool:
         return self.hypotheses_met and self.conclusion_holds is False
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "check": self.check_id,
             "group": self.group,
             "params": {k: v for k, v in sorted(self.params.items())},
@@ -61,9 +61,6 @@ class TheoremReport:
             "witness": self.witness,
             "notes": list(self.notes),
         }
-        if self.elapsed is not None:
-            doc["elapsed"] = round(self.elapsed, 6)
-        return doc
 
 
 def _report(check_id, g, params, hyp, concl, witness=None, notes=()):
@@ -179,15 +176,7 @@ def _residual_shape(g, a, f, failures, notes) -> Optional[str]:
         return None
     primes = prime_divisors(a.order)
     minimal_bits = {m.bits for m in minimal_normal_subgroups(g)}
-    sylows_of_a = {}
-    orders = g.element_orders()
-    for p in primes:
-        pbits = 0
-        for m in a.members:
-            om = int(orders[m])
-            if p_part(om, p) == om:
-                pbits |= 1 << int(m)
-        sylows_of_a[p] = pbits
+    sylows_of_a = {p: p_element_bits(g, p, a.bits) for p in primes}
     if all(sylows_of_a[p] in minimal_bits and
            p_part(g.order, p) == sylows_of_a[p].bit_count() for p in primes):
         return "minimal_normal_sylows"
@@ -237,18 +226,13 @@ def _ii2_checks(g, a, n, f, failures, notes, conjugate_samples) -> list[str]:
     automorphism group in F(p)."""
     lat = all_subgroups(g)
     records = []
-    orders = g.element_orders()
     rng = random.Random(0xA5)
     for h in lat.n_maximal(n):
         if not subgroup_member(f, h):
             failures.append(f"n-maximal subgroup ({h.describe()}) is outside the class")
             continue
         for p in prime_divisors(a.order):
-            pbits = 0
-            for m in a.members:
-                om = int(orders[m])
-                if p_part(om, p) == om:
-                    pbits |= 1 << int(m)
+            pbits = p_element_bits(g, p, a.bits)
             psub = subgroup_from_bits(g, pbits)
             verdict = _action_in_satellite(g, h, psub, f, p)
             records.append(f"H order {h.order}, p={p}: {'ok' if verdict else 'fail'}")
@@ -602,7 +586,7 @@ def _lemma_2_4(g, f: Formation) -> TheoremReport:
                 while work:
                     b = work.pop()
                     for x in gens:
-                        c = conjugate_bits(g, b, int(x))
+                        c = conjugate_bits(g, b, x)
                         if c not in orbit:
                             orbit.add(c)
                             work.append(c)
@@ -688,7 +672,7 @@ def _lemma_2_6(g) -> TheoremReport:
                 local = map_bits_to_sub(s, inter)
                 q = quotient(sgrp, subgroup_from_bits(sgrp, local)).base
                 prim_cyclic = (len(prime_divisors(q.order)) <= 1
-                               and int(max(q.element_orders())) == q.order)
+                               and max(q.element_orders()) == q.order)
                 if not (prim_cyclic or is_miller_moreno(q)):
                     problems.append(
                         f"complement quotient of order {q.order} is neither primary cyclic "
@@ -712,7 +696,7 @@ def _lemma_2_7(g, f: Formation, e_bits: int) -> TheoremReport:
         p = primes[0]
         z = f_hypercentre(g, f)
         lhs = e.bits & z.bits == e.bits
-        cg = centralizer(g, (int(m) for m in e.members))
+        cg = centralizer(g, e.gens)
         rhs = member(canonical_satellite(f, p), quotient(g, cg).base)
         concl = lhs == rhs
         if not concl:

@@ -17,7 +17,8 @@ def groups():
 
 
 def table_of(g):
-    return [[int(x) for x in row] for row in g.table]
+    """The Cayley table as lists: entry (a, b) is a*b."""
+    return [list(row) for row in zip(*g.right_rows)]
 
 
 def members(bits):

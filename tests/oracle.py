@@ -198,3 +198,28 @@ def o_is_subnormal(table, h):
         if nxt == cur:
             return False
         cur = nxt
+
+
+def o_centralizer(table, s):
+    return frozenset(x for x in range(len(table)) if all(table[x][y] == table[y][x] for y in s))
+
+
+def o_normalizer(table, s):
+    inv = o_inverses(table)
+    return frozenset(g for g in range(len(table)) if o_conjugate(table, inv, s, g) == s)
+
+
+def o_core(table, s):
+    inv = o_inverses(table)
+    out = frozenset(s)
+    for g in range(len(table)):
+        out &= o_conjugate(table, inv, s, g)
+    return out
+
+
+def o_normal_closure(table, s):
+    inv = o_inverses(table)
+    conj = set()
+    for g in range(len(table)):
+        conj |= o_conjugate(table, inv, s, g)
+    return o_closure(table, conj)

@@ -93,6 +93,18 @@ def test_corpus_output_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["status"] == "ok"
 
 
+def test_corpus_timing_adds_only_elapsed_seconds(tmp_path, capsys):
+    corpus = tmp_path / "c.json"
+    write_corpus([CorpusEntry("S3", "S3", ())], corpus)
+    args = ("corpus", "--path", str(corpus), "--suite", "smoke", "--format", "json")
+    _, plain, _ = run(capsys, *args)
+    code, timed, _ = run(capsys, *args, "--timing")
+    assert code == 0
+    doc = json.loads(timed)
+    assert doc.pop("elapsed_seconds") >= 0
+    assert doc == json.loads(plain)
+
+
 def test_corpus_cache_dir(tmp_path, capsys):
     corpus = tmp_path / "c.json"
     write_corpus([CorpusEntry("S4", "S4", ("soluble",))], corpus)

@@ -1,17 +1,33 @@
-import numpy as np
-import pytest
+import os
+import subprocess
+import sys
 
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from formations.dsl import parse_group
 from formations.errors import ClosureExceedsCap, NotNormal
 from formations.groups import (Permutation, as_group, center, centralizer,
-                               commutator_subgroup, core, direct_product,
-                               from_generators, generated_subgroup, is_normal,
+                               bits_of, commutator_subgroup, core,
+                               derived_bits, direct_product, from_generators,
+                               generated_subgroup, indices_of, is_normal,
                                map_bits_from_sub, map_bits_to_sub,
                                normal_closure, normalizer, product_bits,
                                quotient, subgroup_from_bits)
+from formations.lattice import all_subgroups
+from formations.structure import subgroup_is_abelian
 
-from conftest import table_of
-from oracle import (o_center, o_closure, o_derived, o_is_normal,
+from conftest import PROPERTY, members, perm_groups, table_of
+from oracle import (o_center, o_centralizer, o_closure, o_core, o_derived,
+                    o_is_normal, o_normal_closure, o_normalizer,
                     o_quotient_table)
+
+
+@given(st.lists(st.integers(0, 6000)))
+def test_bitmask_helpers_round_trip(idx):
+    """Indices past the largest default group order take the same path."""
+    assert indices_of(bits_of(idx)) == sorted(set(idx))
 
 
 def test_permutation_validation():
@@ -51,8 +67,26 @@ def test_determinism(groups):
                          Permutation.from_cycles(4, [(0, 1, 2, 3)])], "S4")
     b = from_generators([Permutation.from_cycles(4, [(0, 1)]),
                          Permutation.from_cycles(4, [(0, 1, 2, 3)])], "S4")
-    assert np.array_equal(a.table, b.table)
+    assert a.right_rows == b.right_rows
     assert a.fingerprint == b.fingerprint
+
+
+def test_fingerprints_pinned():
+    """Lattice-cache file names and section names derive from these, so a
+    change to the fingerprint has to be deliberate."""
+    s4 = parse_group("S4")
+    assert s4.fingerprint == "888d87e3d4fdbaadc9ed48a74988150afae3d3c5b3c2ec363e34a998960870ea"
+    v4 = next(h for h in all_subgroups(s4).by_order(4) if is_normal(s4, h))
+    assert quotient(s4, v4).base.fingerprint == \
+        "8cc44c422a098a4889804f4ab4cbd8ca613b97cc08595e201143429f23fb70fa"
+
+
+def test_import_does_not_load_numpy():
+    code = "import formations, sys; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_generated_subgroup(groups):
@@ -79,11 +113,11 @@ def test_quotient_s4_by_v4(groups):
     # projection is a homomorphism (exhaustive), kernel = preimage of identity
     for a in range(s4.order):
         for b in range(s4.order):
-            assert q.projection[s4.table[a, b]] == q.base.table[q.projection[a], q.projection[b]]
+            assert q.projection[s4.mult(a, b)] == q.base.mult(q.projection[a], q.projection[b])
     assert {i for i in range(s4.order) if q.projection[i] == 0} == \
         set(int(m) for m in v4.members)
     assert o_quotient_table(table_of(s4), frozenset(int(m) for m in v4.members)) == \
-        [[int(x) for x in row] for row in q.base.table]
+        table_of(q.base)
 
 
 def _normal_v4(s4):
@@ -229,7 +263,7 @@ def test_materialize_roundtrip(groups):
     assert sub.order == 4
     assert sub.exponent == 2
     # local index i stands for parent index v4.members[i]
-    for i, m in enumerate(v4.members.tolist()):
+    for i, m in enumerate(v4.members):
         assert map_bits_from_sub(v4, 1 << i) == 1 << m
         assert map_bits_to_sub(v4, 1 << m) == 1 << i
 
@@ -239,3 +273,40 @@ def test_product_bits(groups):
     t = generated_subgroup(s3, [_a_transposition(s3)])
     c3 = generated_subgroup(s3, [next(i for i in range(s3.order) if s3.element_orders()[i] == 3)])
     assert product_bits(s3, t.bits, c3.bits) == s3.full_bits()
+
+
+@PROPERTY
+@given(perm_groups())
+def test_subgroup_operations_match_oracle(g):
+    """For every subgroup H, the generator-based normalizer, centralizer,
+    core, normal closure, derived subgroup, normality and commutativity
+    against brute force over all elements; the centre; and products H*K."""
+    assume(g.order <= 24)
+    table = table_of(g)
+    assert members(center(g).bits) == o_center(table)
+    assert g.is_abelian() == (len(o_center(table)) == g.order)
+    subs = all_subgroups(g).subgroups
+    for h in subs:
+        s = members(h.bits)
+        assert members(normalizer(g, h).bits) == o_normalizer(table, s)
+        assert members(centralizer(g, h.gens).bits) == o_centralizer(table, s)
+        assert members(core(g, h).bits) == o_core(table, s)
+        assert members(normal_closure(g, h).bits) == o_normal_closure(table, s)
+        assert members(derived_bits(g, h.bits)) == o_derived(table, s)
+        assert is_normal(g, h) == o_is_normal(table, s)
+        assert subgroup_is_abelian(h) == (o_centralizer(table, s) >= s)
+        for k in subs:
+            assert members(product_bits(g, h.bits, k.bits)) == \
+                {table[a][b] for a in s for b in members(k.bits)}
+
+
+@PROPERTY
+@given(perm_groups(), perm_groups())
+def test_direct_product_table(a, b):
+    """(x, y)(u, v) = (xu, yv), with (x, y) at index x*|B| + y."""
+    assume(a.order * b.order <= 144)
+    m = b.order
+    table = table_of(direct_product(a, b))
+    assert all(table[x * m + y][u * m + v] == a.mult(x, u) * m + b.mult(y, v)
+               for x in range(a.order) for y in range(m)
+               for u in range(a.order) for v in range(m))

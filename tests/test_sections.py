@@ -2,7 +2,6 @@
 Cayley table among a root and the groups derived from it, checked against
 the brute-force oracle on random permutation groups of degree at most 6."""
 
-import numpy as np
 from hypothesis import assume, given
 
 from formations.dsl import parse_group
@@ -25,7 +24,7 @@ def test_subgroup_embedding_matches_oracle(g):
     for s in expected:
         h = subgroup_from_bits(g, bits_of(s))
         sub = as_group(h)
-        mem = h.members.tolist()
+        mem = h.members
         assert [[mem[x] for x in row] for row in table_of(sub)] == \
             [[g.mult(a, b) for b in mem] for a in mem]
         inner = {members(map_bits_from_sub(h, bits_of(k)))
@@ -47,7 +46,7 @@ def test_quotient_maps_match_oracle(g):
     subs = o_subgroups(table)
     for nset in o_normal_subgroups(table):
         q = quotient(g, subgroup_from_bits(g, bits_of(nset)))
-        proj = q.projection.tolist()
+        proj = q.projection
         assert table_of(q.base) == o_quotient_table(table, nset)
         assert all(proj[g.mult(a, b)] == q.base.mult(proj[a], proj[b])
                    for a in range(g.order) for b in range(g.order))
@@ -69,11 +68,11 @@ def test_one_group_per_table(g):
     seen = {}
     for h in all_subgroups(g).subgroups:
         sub = as_group(h)
-        assert seen.setdefault(sub.table.tobytes(), sub) is sub
+        assert seen.setdefault(sub.right_rows, sub) is sub
         assert sub.name.startswith(f"H|{h.order}.") or sub is g
     for nset in o_normal_subgroups(table_of(g)):
         base = quotient(g, subgroup_from_bits(g, bits_of(nset))).base
-        assert seen.setdefault(base.table.tobytes(), base) is base
+        assert seen.setdefault(base.right_rows, base) is base
 
 
 def test_klein_four_subgroups_share_one_group():
@@ -103,4 +102,4 @@ def test_registry_is_per_root_and_lazy():
     ha = next(h for h in all_subgroups(a).subgroups if h.order == 3)
     hb = next(h for h in all_subgroups(b).subgroups if h.order == 3)
     assert as_group(ha) is not as_group(hb)
-    assert np.array_equal(as_group(ha).table, as_group(hb).table)
+    assert as_group(ha).right_rows == as_group(hb).right_rows
