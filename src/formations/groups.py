@@ -14,7 +14,7 @@ thin wrappers around such a mask plus a small generating set.
 from __future__ import annotations
 
 import hashlib
-from array import array
+import struct
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from math import gcd
@@ -52,11 +52,13 @@ def indices_of(bits: int) -> list[int]:
 
 def table_fingerprint(rows: Rows) -> str:
     """Stable sha256 of a Cayley table given by its right-multiplication
-    rows (`FiniteGroup.fingerprint`): the int32 products a*b, a major."""
+    rows (`FiniteGroup.fingerprint`): the products a*b as little-endian
+    int32, a major."""
     h = hashlib.sha256(b"cayley/1:")
     h.update(len(rows).to_bytes(4, "little"))
+    pack = struct.Struct(f"<{len(rows)}i").pack
     for products in zip(*rows):
-        h.update(array("i", products))
+        h.update(pack(*products))
     return h.hexdigest()
 
 

@@ -15,7 +15,7 @@ from oracle import (o_chief_order_multisets, o_fitting, o_frattini,
 
 
 def bitset(s):
-    return frozenset(int(m) for m in s.members)
+    return frozenset(s.members)
 
 
 def test_all_subgroups_counts(groups):

@@ -140,7 +140,7 @@ def test_is_subnormal(groups):
         g = groups[name]
         for s in all_subgroups(g).subgroups:
             assert is_subnormal(g, s) == o_is_subnormal(
-                table_of(g), frozenset(int(m) for m in s.members))
+                table_of(g), frozenset(s.members))
 
 
 @PROPERTY
