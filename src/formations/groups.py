@@ -657,16 +657,16 @@ def quotient(g: FiniteGroup, n: Subgroup) -> QuotientGroup:
     if n.is_trivial:
         q = QuotientGroup(base=g, projection=tuple(range(g.order)), kernel=n)
     else:
-        rows, take = g.right_rows, _getter(n.members)
+        rows, coset = g.right_rows, _getter(n.members)
         coset_of = [-1] * g.order
         reps = []
         for i in range(g.order):
             if coset_of[i] < 0:
-                for x in take(rows[i]):  # N*i = i*N
+                for x in coset(rows[i]):  # N*i = i*N
                     coset_of[x] = len(reps)
                 reps.append(i)
-        take = _getter(reps)
-        qrows = [_getter(take(rows[y]))(coset_of) for y in reps]
+        at_reps = _getter(reps)
+        qrows = [_getter(at_reps(rows[y]))(coset_of) for y in reps]
         gens = sorted(set(coset_of[x] for x in (g.generators or range(g.order))) - {0})
         q = QuotientGroup(base=_section(g, qrows, gens), projection=tuple(coset_of), kernel=n)
     g._quotients[n.bits] = q
