@@ -18,7 +18,8 @@ from .errors import FormationsError
 from .formation import (BUILTINS, Formation, f_hypercentre, is_f_critical,
                         member, residual)
 from .groups import FiniteGroup
-from .harness import DEFAULT_SEED, RunConfig, SUITES, lemma_instances, run_corpus
+from .harness import (DEFAULT_SEED, LEMMA_INSTANCES_PER_GROUP, RunConfig, SUITES,
+                      lemma_instances, run_corpus)
 from .lattice import (DEFAULT_LATTICE_ORDER_CAP, DEFAULT_SUBGROUP_CAP,
                       all_subgroups)
 from .storage import (builtin_corpus_path, load_corpus, report_dumps,
@@ -173,7 +174,7 @@ def cmd_verify(args) -> int:
 
 def _lemma_reports(lemma_id, g, f, n):
     """Sampled instances for a lemma on one group, honoring flag overrides."""
-    instances = lemma_instances(lemma_id, g, DEFAULT_SEED, 4)
+    instances = lemma_instances(lemma_id, g, DEFAULT_SEED, LEMMA_INSTANCES_PER_GROUP)
     seen = set()
     out = []
     for inst in instances:

@@ -28,8 +28,7 @@ from typing import Callable, Optional
 from .arith import is_prime, p_part, prime_divisors
 from .errors import NoSatellite, NotMaximal
 from .groups import (FiniteGroup, Subgroup, as_group, bits_of, core_bits,
-                     derived_bits, map_bits_to_sub, quotient,
-                     subgroup_from_bits)
+                     derived_bits, map_bits_to_sub, quotient)
 from .lattice import (ChiefFactor, SubgroupLattice, all_subgroups,
                       chief_series, minimal_normal_subgroups, normal_subgroups)
 from .structure import (is_nilpotent, is_soluble, is_supersoluble,
@@ -166,7 +165,7 @@ def nilpotent_commutator_class() -> Formation:
     """
 
     def test(g: FiniteGroup) -> bool:
-        return subgroup_is_nilpotent(subgroup_from_bits(g, derived_bits(g, g.full_bits())))
+        return subgroup_is_nilpotent(Subgroup(g, derived_bits(g, g.full_bits())))
 
     return Formation(
         name="NA", key="NA", test=test,
@@ -195,7 +194,7 @@ def residual(g: FiniteGroup, f: Formation) -> Subgroup:
             continue  # already below the running intersection
         if member(f, quotient(g, n).base):
             bits &= n.bits
-    res = subgroup_from_bits(g, bits)
+    res = Subgroup(g, bits)
     if not member(f, quotient(g, res).base):
         raise RuntimeError(f"{f.name} violated formation closure on {g.name}")
     g._memo[key] = res
@@ -347,7 +346,7 @@ def is_f_central(g: FiniteGroup, factor: ChiefFactor, f: Formation) -> bool:
     """G/C_G(H/K) in F(p) for every prime p dividing |H/K|."""
     if not f.has_satellite:
         raise NoSatellite(f"{f.name} has no canonical satellite table")
-    c = subgroup_from_bits(g, factor_centralizer_bits(g, factor))
+    c = Subgroup(g, factor_centralizer_bits(g, factor))
     q = quotient(g, c).base
     return all(member(canonical_satellite(f, p), q) for p in factor.primes)
 
@@ -367,14 +366,14 @@ def f_hypercentre(g: FiniteGroup, f: Formation) -> Subgroup:
         raise NoSatellite(f"{f.name} has no canonical satellite table")
     zbits = 1
     while True:
-        z = subgroup_from_bits(g, zbits)
+        z = Subgroup(g, zbits)
         if z.order == g.order:
             return z
         q = quotient(g, z)
         advanced = False
         for mn in minimal_normal_subgroups(q.base):
             upper_bits = q.preimage_bits(mn.bits)
-            factor = ChiefFactor(lower=z, upper=subgroup_from_bits(g, upper_bits),
+            factor = ChiefFactor(lower=z, upper=Subgroup(g, upper_bits),
                                  order=mn.order, primes=prime_divisors(mn.order))
             if is_f_central(g, factor, f):
                 zbits = upper_bits
@@ -393,8 +392,8 @@ def is_f_normal_maximal(g: FiniteGroup, m: Subgroup, f: Formation) -> bool:
     lat = all_subgroups(g)
     if lat.position(m) not in lat.maximals_of[lat.top_index]:
         raise NotMaximal(f"subgroup of order {m.order} is not maximal in {g.name}")
-    cbits = core_bits(g, m.bits, g.generators or tuple(range(g.order)))
-    return member(f, quotient(g, subgroup_from_bits(g, cbits)).base)
+    cbits = core_bits(g, m.bits, g.generators)
+    return member(f, quotient(g, Subgroup(g, cbits)).base)
 
 
 def f_subnormal_bits(lat: SubgroupLattice, f: Formation) -> frozenset[int]:
@@ -402,13 +401,13 @@ def f_subnormal_bits(lat: SubgroupLattice, f: Formation) -> frozenset[int]:
 
     H is F-subnormal iff H = G or H is maximal in some F-subnormal K with
     K/core_K(H) in F, so one reachability sweep from the top settles every
-    subgroup at once. Memoized per (lattice, formation).
+    subgroup at once. Memoized per (group, formation).
     """
-    memo = lat.memos.setdefault("f_subnormal", {})
-    hit = memo.get(f.key)
+    g = lat.group
+    key = ("f_subnormal", f.key)
+    hit = g._memo.get(key)
     if hit is not None:
         return hit
-    g = lat.group
     good = {lat.top_index}
     stack = [lat.top_index]
     while stack:
@@ -420,12 +419,12 @@ def f_subnormal_bits(lat: SubgroupLattice, f: Formation) -> frozenset[int]:
                 continue
             m = lat.subgroups[mi]
             local_core = map_bits_to_sub(k, core_bits(g, m.bits, k.gens))
-            q = quotient(kgrp, subgroup_from_bits(kgrp, local_core)).base
+            q = quotient(kgrp, Subgroup(kgrp, local_core)).base
             if member(f, q):
                 good.add(mi)
                 stack.append(mi)
     out = frozenset(lat.subgroups[i].bits for i in good)
-    memo[f.key] = out
+    g._memo[key] = out
     return out
 
 

@@ -143,14 +143,15 @@ class FiniteGroup:
     """Finite group as an indexed element list with a dense Cayley table.
 
     The table is `right_rows`: `right_rows[y][x]` is the index of x*y.
-    Immutable after construction; memo dictionaries hang off the instance and
-    only ever grow, so sharing across threads is safe per the package's
-    single-writer contract.
+    `generators` always generates the group: when none are given, a small
+    generating set is computed (`generating_set`). Immutable after
+    construction; memo dictionaries hang off the instance and only ever
+    grow, so sharing across threads is safe per the package's single-writer
+    contract.
     """
 
     def __init__(self, name: str, right_rows: Sequence[Sequence[int]],
-                 generators: Sequence[int] = (),
-                 labels: Optional[tuple[str, ...]] = None):
+                 generators: Optional[Sequence[int]] = None):
         rows = tuple(map(tuple, right_rows))
         n = len(rows)
         if n == 0:
@@ -163,8 +164,6 @@ class FiniteGroup:
         self.right_rows: Rows = rows
         self.order = n
         self.inv = tuple(row.index(0) for row in rows)  # x * y = 1 in row y
-        self.generators = tuple(generators)
-        self.labels = labels
         self._orders: Optional[tuple[int, ...]] = None
         self._fingerprint: Optional[str] = None
         self._memo: dict = {}          # per-formation membership and residuals
@@ -173,6 +172,9 @@ class FiniteGroup:
         self._lattice = None
         self._conj: list = [None] * n  # conjugation_row(x), filled on first use
         self._registry: Optional[dict] = None  # see `_section`
+        if generators is None:
+            generators = generating_set(self, range(n), self.full_bits())
+        self.generators = tuple(generators)
 
     # -- basics ------------------------------------------------------------
 
@@ -221,7 +223,7 @@ class FiniteGroup:
         return all(rows[b][a] == rows[a][b] for i, a in enumerate(elems) for b in elems[:i])
 
     def is_abelian(self) -> bool:
-        return self.commute(self.generators or range(self.order))
+        return self.commute(self.generators)
 
     def pi(self) -> tuple[int, ...]:
         return prime_divisors(self.order)
@@ -351,15 +353,9 @@ class Subgroup:
 
     @property
     def gens(self) -> tuple[int, ...]:
-        """A small generating set (computed greedily if not recorded)."""
+        """A small generating set (`generating_set`, if none was recorded)."""
         if self._gens is None:
-            gens: list[int] = []
-            have = 1
-            for m in self.members:
-                if not (have >> m) & 1:
-                    gens.append(m)
-                    have = self.parent.closure_bits(gens)
-            self._gens = tuple(gens)
+            self._gens = generating_set(self.parent, self.members, self.bits)
         return self._gens
 
     def contains(self, i: int) -> bool:
@@ -451,15 +447,7 @@ def from_generators(gens: Sequence[Permutation], name: str,
     for k in range(1, len(elems)):
         rows.append(_getter(rows[parent[k]])(right[via[k]]))
     gen_idx = [index[g.images] for g in gens]
-    labels = tuple(_perm_label(p) for p in elems)
-    return FiniteGroup(name, rows, generators=gen_idx, labels=labels)
-
-
-def _perm_label(images: tuple[int, ...]) -> str:
-    cycs = Permutation(images).cycles()
-    if not cycs:
-        return "()"
-    return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
+    return FiniteGroup(name, rows, generators=gen_idx)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, name: Optional[str] = None,
@@ -473,10 +461,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: Optional[str] = None,
     rows = [tuple(chain.from_iterable(map(blocks[d].__getitem__, grow)))
             for grow in g.right_rows for d in range(m)]
     gens = [a * m for a in g.generators] + [b for b in h.generators]
-    labels = None
-    if g.labels and h.labels:
-        labels = tuple(f"({g.labels[a]},{h.labels[b]})" for a in range(n) for b in range(m))
-    return FiniteGroup(name or f"{g.name} x {h.name}", rows, generators=gens, labels=labels)
+    return FiniteGroup(name or f"{g.name} x {h.name}", rows, generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +475,21 @@ def generated_subgroup(g: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     return Subgroup(g, bits, gens=tuple(gens))
 
 
-def subgroup_from_bits(g: FiniteGroup, bits: int) -> Subgroup:
-    return Subgroup(g, bits)
+def generating_set(g: FiniteGroup, elems: Iterable[int], bits: int) -> tuple[int, ...]:
+    """A small generating set of the subgroup with members `elems` and
+    bitmask `bits`: its elements by descending order, each kept when the
+    earlier ones do not generate it yet, up to the first that completes it.
+    Lattice extensions and every user of `Subgroup.gens` loop over these."""
+    orders = g.element_orders()
+    gens: list[int] = []
+    have = 1
+    for y in sorted(elems, key=lambda y: -orders[y]):
+        if not have >> y & 1:
+            gens.append(y)
+            have = g.closure_bits(gens)
+            if have == bits:
+                break
+    return tuple(gens)
 
 
 def p_element_bits(g: FiniteGroup, p: int, within: Optional[int] = None) -> int:
@@ -510,21 +508,39 @@ def conjugate_bits(g: FiniteGroup, bits: int, x: int) -> int:
     return bits_of(map(g.conjugation_row(x).__getitem__, indices_of(bits)))
 
 
+def conjugates(g: FiniteGroup, bits: int) -> set[int]:
+    """The bitmasks of the conjugates of a subset: its orbit under
+    conjugation by g's generators."""
+    actions = conjugation_actions(g)
+    orbit = {bits}
+    work = [bits]
+    for b in work:  # grows while it is read
+        members = indices_of(b)
+        for act in actions:
+            c = bits_of(map(act.__getitem__, members))
+            if c not in orbit:
+                orbit.add(c)
+                work.append(c)
+    return orbit
+
+
 def product_bits(g: FiniteGroup, abits: int, bbits: int) -> int:
     """Bitmask of the product A * B of a subgroup A and a set B: the union
-    of the right cosets A*y, y in B, each gathered once."""
+    of the right cosets A*y, y in B, each gathered once. For normal A and B
+    this is their join."""
     take = _getter(indices_of(abits))
-    out = 0
+    flags = bytearray(b"0") * g.order  # ASCII digits, as in `closure_bits`
     for y in indices_of(bbits):
-        if not out >> y & 1:
-            out |= bits_of(take(g.right_rows[y]))
-    return out
+        if flags[y] != 49:
+            for x in take(g.right_rows[y]):
+                flags[x] = 49
+    flags.reverse()
+    return int(flags, 2)
 
 
 def conjugation_actions(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """The permutations y -> s^-1 y s of g's elements, one per generator s
-    (per element when g records no generators)."""
-    return [g.conjugation_row(s) for s in g.generators or range(g.order)]
+    """The permutations y -> s^-1 y s of g's elements, one per generator s."""
+    return [g.conjugation_row(s) for s in g.generators]
 
 
 def conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
@@ -561,7 +577,7 @@ def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
 
 def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
     """Largest normal subgroup of g inside h (intersection of conjugates)."""
-    return Subgroup(g, core_bits(g, h.bits, g.generators or tuple(range(g.order))))
+    return Subgroup(g, core_bits(g, h.bits, g.generators))
 
 
 def core_bits(g: FiniteGroup, hbits: int, conj_gens: Sequence[int]) -> int:
@@ -579,7 +595,7 @@ def core_bits(g: FiniteGroup, hbits: int, conj_gens: Sequence[int]) -> int:
 
 def normal_closure(g: FiniteGroup, h: Subgroup) -> Subgroup:
     """Smallest normal subgroup of g containing h."""
-    return Subgroup(g, normal_closure_bits(g, h.bits, g.generators or tuple(range(g.order))))
+    return Subgroup(g, normal_closure_bits(g, h.bits, g.generators))
 
 
 def normal_closure_bits(g: FiniteGroup, hbits: int, conj_gens: Sequence[int]) -> int:
@@ -622,16 +638,13 @@ def normalizer(g: FiniteGroup, h: Subgroup) -> Subgroup:
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    return centralizer(g, g.generators or range(g.order))
+    return centralizer(g, g.generators)
 
 
 def derived_bits(g: FiniteGroup, bits: int) -> int:
     """Bitmask of the commutator subgroup [H, H] for H given by bits: the
     normal closure in H of the commutators of H's generators."""
-    if bits == g.full_bits():
-        gens = g.generators or tuple(range(g.order))
-    else:
-        gens = Subgroup(g, bits).gens
+    gens = g.generators if bits == g.full_bits() else Subgroup(g, bits).gens
     rows, inv = g.right_rows, g.inv
     # [a, b] = (ba)^-1 (ab)
     comms = [rows[rows[b][a]][inv[rows[a][b]]] for i, a in enumerate(gens) for b in gens[:i]]
@@ -667,7 +680,7 @@ def quotient(g: FiniteGroup, n: Subgroup) -> QuotientGroup:
                 reps.append(i)
         at_reps = _getter(reps)
         qrows = [_getter(at_reps(rows[y]))(coset_of) for y in reps]
-        gens = sorted(set(coset_of[x] for x in (g.generators or range(g.order))) - {0})
+        gens = sorted(set(coset_of[x] for x in g.generators) - {0})
         q = QuotientGroup(base=_section(g, qrows, gens), projection=tuple(coset_of), kernel=n)
     g._quotients[n.bits] = q
     return q
@@ -680,8 +693,7 @@ def as_group(h: Subgroup) -> FiniteGroup:
     is the embedding `map_bits_to_sub` and `map_bits_from_sub` apply. The
     result is the section of the parent's root with this table
     (`_section`), so subgroups with equal tables, and a quotient with the
-    same table, share one group and its memos; it has no labels, since it
-    may stand for several subgroups.
+    same table, share one group and its memos.
     """
     g = h.parent
     if h.is_full:
@@ -711,7 +723,9 @@ def _section(g: FiniteGroup, rows: Sequence[tuple[int, ...]], gens: Sequence[int
     tables (right-row tuples) to groups, is made on its first derivation,
     with the root registered first; derived groups share it. A table not
     yet registered becomes a new group named after the root, its order and
-    its fingerprint, so the name does not depend on how it was reached.
+    the hash of its rows (tuples of ints hash the same in every run), so
+    the name does not depend on how it was reached. Its `fingerprint` is
+    left to be computed on demand: only roots key the lattice cache.
     """
     registry = g._registry
     if registry is None:
@@ -720,9 +734,8 @@ def _section(g: FiniteGroup, rows: Sequence[tuple[int, ...]], gens: Sequence[int
     sec = registry.get(rows)
     if sec is None:
         root = next(iter(registry.values()))
-        key = table_fingerprint(rows)
-        sec = FiniteGroup(f"{root.name}|{len(rows)}.{key[:8]}", rows, generators=gens)
-        sec._fingerprint = key
+        tag = hash(rows) & 0xFFFFFFFF
+        sec = FiniteGroup(f"{root.name}|{len(rows)}.{tag:08x}", rows, generators=gens)
         sec._registry = registry
         registry[rows] = sec
     return sec
@@ -744,16 +757,5 @@ def map_bits_from_sub(h: Subgroup, bits: int) -> int:
     return bits_of(map(h.members.__getitem__, indices_of(bits)))
 
 
-def intersection_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
-    if a.parent is not b.parent:
-        raise ValueError("subgroups of different parents")
-    return Subgroup(a.parent, a.bits & b.bits)
-
-
-def join_bits(g: FiniteGroup, abits: int, bbits: int) -> int:
-    """Subgroup generated by the union of two member sets."""
-    return g.closure_bits(indices_of(abits | bbits))
-
-
 def trivial_group(name: str = "1") -> FiniteGroup:
-    return FiniteGroup(name, ((0,),), generators=())
+    return FiniteGroup(name, ((0,),))

@@ -15,11 +15,10 @@ from typing import Iterable, Optional, Sequence
 
 from .arith import prime_divisors
 from .dsl import parse_group
-from .errors import (CorpusParseError, FormationsError, InvalidParams,
-                     LatticeExceedsCap)
+from .errors import CorpusParseError, FormationsError, LatticeExceedsCap
 from .formation import (BUILTINS, NILPOTENT, f_subnormal_bits,
                         local_membership, member, p_groups)
-from .groups import FiniteGroup, as_group, map_bits_from_sub, subgroup_from_bits
+from .groups import FiniteGroup, Subgroup, as_group, map_bits_from_sub
 from .lattice import all_subgroups, normal_subgroups
 from .storage import CorpusEntry, cache_lattice, load_cached_lattice
 from .structure import dispersiveness, profile
@@ -27,6 +26,8 @@ from .theorems import (TheoremReport, classify_type, verify_lemma,
                        verify_theorem)
 
 DEFAULT_SEED = 20260809
+LEMMA_GROUPS_MAX_ORDER = 400   # lattice-heavy lemma sampling bound
+LEMMA_INSTANCES_PER_GROUP = 4
 
 
 @dataclass
@@ -35,8 +36,6 @@ class RunConfig:
     workers: int = 1
     cache_dir: Optional[str] = None
     order_cap: int = 5000
-    lemma_groups_max_order: int = 400   # lattice-heavy lemma sampling bound
-    lemma_instances_per_group: int = 4
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,7 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
                         nb = rng.choice([s.bits for s in normal_subgroups(g)])
                         out.append({"f": f, "h_bits": hb, "n_bits": nb})
                     else:  # 2.1.3
-                        h = subgroup_from_bits(g, hb)
+                        h = Subgroup(g, hb)
                         hgrp = as_group(h)
                         inner = sorted(f_subnormal_bits(all_subgroups(hgrp), f))
                         kb_local = rng.choice(inner)
@@ -273,35 +272,24 @@ def _run_one_check(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
     if check.kind == "lemma":
         if not prof.soluble and g.order > 60:
             return [_skip(check.check_id, g.name, "insoluble group excluded from lemma sampling")]
-        if g.order > cfg.lemma_groups_max_order:
+        if g.order > LEMMA_GROUPS_MAX_ORDER:
             return [_skip(check.check_id, g.name, "order above lemma sampling bound")]
         for lemma_id in check.grid:
             try:
-                for inst in lemma_instances(lemma_id, g, cfg.seed, cfg.lemma_instances_per_group):
+                for inst in lemma_instances(lemma_id, g, cfg.seed, LEMMA_INSTANCES_PER_GROUP):
                     rep = verify_lemma(lemma_id, g, **inst)
                     out.append(_result(rep, check.check_id))
             except LatticeExceedsCap:
                 out.append(_skip(check.check_id, g.name, f"lattice cap in lemma {lemma_id}"))
         return out
 
-    # theorem grids
-    if not prof.soluble and check.check_id in ("theorem-A", "theorem-B", "theorem-D"):
+    # theorem grids: (formation, r, n), None where the theorem takes no such parameter
+    if not prof.soluble:
         return [_skip(check.check_id, g.name, "not soluble")]
-    if check.check_id == "theorem-C" and not prof.soluble:
-        return [_skip(check.check_id, g.name, "not soluble")]
+    theorem_id = check.check_id.removeprefix("theorem-")
     for fname, r, n in check.grid:
-        f = BUILTINS[fname]
         try:
-            if check.check_id == "theorem-A":
-                rep = verify_theorem("A", g, n=n, r=r, f=f)
-            elif check.check_id == "theorem-B":
-                rep = verify_theorem("B", g, n=n, f=f)
-            elif check.check_id == "theorem-C":
-                rep = verify_theorem("C", g, f=f)
-            elif check.check_id == "theorem-D":
-                rep = verify_theorem("D", g, n=n, f=f)
-            else:
-                raise InvalidParams(f"unknown theorem check {check.check_id}")
+            rep = verify_theorem(theorem_id, g, n=n, r=r, f=BUILTINS[fname])
         except LatticeExceedsCap:
             out.append(_skip(check.check_id, g.name, "lattice cap"))
             continue

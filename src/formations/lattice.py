@@ -27,9 +27,9 @@ from typing import Iterator, Optional
 
 from .arith import p_part, pi_part, prime_divisors
 from .errors import LatticeExceedsCap
-from .groups import (FiniteGroup, Subgroup, conjugacy_classes, conjugate_bits,
-                     conjugation_actions, indices_of, join_bits, normalizer,
-                     p_element_bits, quotient, subgroup_from_bits)
+from .groups import (FiniteGroup, Subgroup, conjugacy_classes, conjugates,
+                     conjugation_actions, generating_set, indices_of,
+                     normalizer, p_element_bits, product_bits, quotient)
 
 DEFAULT_LATTICE_ORDER_CAP = 1000
 DEFAULT_SUBGROUP_CAP = 100000
@@ -40,16 +40,24 @@ class SubgroupLattice:
     """All subgroups of a group plus the maximality relation.
 
     Subgroups are stored sorted by (order, bits); `maximals_of[i]` lists the
-    positions of the maximal subgroups of subgroup i, `overgroups_of[i]` the
-    positions of the subgroups in which i is maximal.
+    positions of the maximal subgroups of subgroup i. Derived from these:
+    `index_of` maps each subgroup's bitmask to its position, and
+    `overgroups_of[i]` lists the positions of the subgroups in which i is
+    maximal.
     """
 
     group: FiniteGroup
     subgroups: list[Subgroup]
-    index_of: dict[int, int]
     maximals_of: list[list[int]]
-    overgroups_of: list[list[int]]
-    memos: dict = field(default_factory=dict)
+    index_of: dict[int, int] = field(init=False)
+    overgroups_of: list[list[int]] = field(init=False)
+
+    def __post_init__(self):
+        self.index_of = {s.bits: i for i, s in enumerate(self.subgroups)}
+        self.overgroups_of = [[] for _ in self.subgroups]
+        for i, children in enumerate(self.maximals_of):
+            for j in children:
+                self.overgroups_of[j].append(i)
 
     @property
     def top_index(self) -> int:
@@ -125,20 +133,12 @@ def all_subgroups(g: FiniteGroup,
                 continue
             kelems, kbits = g.extend(helems, hrows, x)
             if kbits not in walk.found:
-                walk.add_class(kelems, kbits, _generators(g, kelems, kbits))
+                walk.add_class(kelems, kbits, generating_set(g, kelems, kbits))
 
     subs = [Subgroup(g, b, gens=gens) for b, gens in walk.found.items()]
     subs.sort(key=lambda s: (s.order, s.bits))
-    index_of = {s.bits: i for i, s in enumerate(subs)}
-    maximals_of = walk.covers(subs, index_of)
-    overgroups_of: list[list[int]] = [[] for _ in subs]
-    for i, children in enumerate(maximals_of):
-        for j in children:
-            overgroups_of[j].append(i)
-    lat = SubgroupLattice(group=g, subgroups=subs, index_of=index_of,
-                          maximals_of=maximals_of, overgroups_of=overgroups_of)
-    g._lattice = lat
-    return lat
+    g._lattice = SubgroupLattice(group=g, subgroups=subs, maximals_of=walk.covers(subs))
+    return g._lattice
 
 
 class _ClassWalk:
@@ -188,9 +188,10 @@ class _ClassWalk:
                     gens_of.append(igens)
         self.orbits.append(orbit)
 
-    def covers(self, subs: list[Subgroup], index_of: dict[int, int]) -> list[list[int]]:
+    def covers(self, subs: list[Subgroup]) -> list[list[int]]:
         """maximals_of for the sorted subgroups: each representative's covers
         by a containment scan, conjugated along its orbit."""
+        index_of = {s.bits: i for i, s in enumerate(subs)}
         out: list[list[int]] = [[] for _ in subs]
         for orbit in self.orbits:
             i = index_of[orbit[0][0]]
@@ -202,22 +203,6 @@ class _ClassWalk:
                 images.append(mapped)
                 out[index_of[bits]] = sorted(index_of[self._bits(e)] for e in mapped)
         return out
-
-
-def _generators(g: FiniteGroup, elems: list[int], bits: int) -> tuple[int, ...]:
-    """A small generating set of the subgroup: its elements by descending
-    order, each kept when the earlier ones do not generate it yet. Later
-    extensions and every user of `Subgroup.gens` loop over these."""
-    orders = g.element_orders()
-    gens: list[int] = []
-    have = 1
-    for y in sorted(elems, key=lambda y: -orders[y]):
-        if not (have >> y) & 1:
-            gens.append(y)
-            have = g.closure_bits(gens)
-            if have == bits:
-                break
-    return tuple(gens)
 
 
 def _covers(subs: list[Subgroup], i: int) -> list[int]:
@@ -256,7 +241,8 @@ def normal_subgroups(g: FiniteGroup,
     """All normal subgroups of g, sorted by (order, bits).
 
     Computed as the join closure of the normal closures of cyclic subgroups;
-    every normal subgroup is a join of such closures.
+    every normal subgroup is a join of such closures, and the join of two
+    normal subgroups is their product.
     """
     if g.order > order_cap:
         raise LatticeExceedsCap(f"{g.name}: order {g.order} exceeds lattice cap {order_cap}")
@@ -271,11 +257,11 @@ def normal_subgroups(g: FiniteGroup,
         for a in atoms:
             if a & cur == a:
                 continue
-            j = join_bits(g, cur, a)
+            j = product_bits(g, cur, a)
             if j not in known:
                 known.add(j)
                 work.append(j)
-    subs = [subgroup_from_bits(g, b) for b in sorted(known, key=lambda b: (b.bit_count(), b))]
+    subs = [Subgroup(g, b) for b in sorted(known, key=lambda b: (b.bit_count(), b))]
     g._memo["normal_subgroups"] = subs
     return subs
 
@@ -287,7 +273,7 @@ def minimal_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
     atoms = [b for b in _normal_atoms(g) if b != 1]
     minimal = [b for b in atoms
                if not any(o != b and o & b == o for o in atoms)]
-    return [subgroup_from_bits(g, b) for b in sorted(minimal, key=lambda b: (b.bit_count(), b))]
+    return [Subgroup(g, b) for b in sorted(minimal, key=lambda b: (b.bit_count(), b))]
 
 
 @dataclass(frozen=True)
@@ -333,7 +319,7 @@ def chief_series(g: FiniteGroup, reverse: bool = False) -> ChiefSeries:
         mins = minimal_normal_subgroups(q.base)
         chosen = mins[-1] if reverse else mins[0]
         nxt_bits = q.preimage_bits(chosen.bits)
-        nxt = subgroup_from_bits(g, nxt_bits)
+        nxt = Subgroup(g, nxt_bits)
         forder = nxt.order // cur.order
         factors.append(ChiefFactor(lower=cur, upper=nxt, order=forder,
                                    primes=prime_divisors(forder)))
@@ -355,7 +341,7 @@ def frattini(g: FiniteGroup) -> Subgroup:
     bits = g.full_bits()
     for j in maxima:
         bits &= lat.subgroups[j].bits
-    return subgroup_from_bits(g, bits)
+    return Subgroup(g, bits)
 
 
 def sylow(g: FiniteGroup, p: int) -> Subgroup:
@@ -376,38 +362,14 @@ def sylow(g: FiniteGroup, p: int) -> Subgroup:
             raise RuntimeError(f"Sylow construction stalled in {g.name} at order {cur.order}")
         gens = (*cur.gens, (picks & -picks).bit_length() - 1)
         cur = Subgroup(g, g.closure_bits(gens), gens=gens)
-    best = cur.bits
-    seen = {cur.bits}
-    work = [cur.bits]
-    conj_gens = g.generators or tuple(range(g.order))
-    while work:
-        b = work.pop()
-        for x in conj_gens:
-            c = conjugate_bits(g, b, x)
-            if c not in seen:
-                seen.add(c)
-                work.append(c)
-                if c < best:
-                    best = c
-    out = subgroup_from_bits(g, best)
+    out = Subgroup(g, min(conjugates(g, cur.bits)))
     g._memo[key] = out
     return out
 
 
 def sylow_conjugates(g: FiniteGroup, p: int) -> list[Subgroup]:
     """All Sylow p-subgroups (the conjugacy orbit of sylow(g, p))."""
-    base = sylow(g, p)
-    seen = {base.bits}
-    work = [base.bits]
-    conj_gens = g.generators or tuple(range(g.order))
-    while work:
-        b = work.pop()
-        for x in conj_gens:
-            c = conjugate_bits(g, b, x)
-            if c not in seen:
-                seen.add(c)
-                work.append(c)
-    return [subgroup_from_bits(g, b) for b in sorted(seen)]
+    return [Subgroup(g, b) for b in sorted(conjugates(g, sylow(g, p).bits))]
 
 
 def hall(g: FiniteGroup, primes) -> Optional[Subgroup]:
@@ -440,18 +402,18 @@ def o_core(g: FiniteGroup, mode: str, p: int) -> Subgroup:
         op_prime = o_core(g, "p'", p)
         q = quotient(g, op_prime)
         upper = o_core(q.base, "p", p)
-        return subgroup_from_bits(g, q.preimage_bits(upper.bits))
+        return Subgroup(g, q.preimage_bits(upper.bits))
     raise ValueError(f"unknown o_core mode {mode!r}")
 
 
 def fitting(g: FiniteGroup) -> Subgroup:
-    """Largest normal nilpotent subgroup: the join of the O_p(g)."""
+    """Largest normal nilpotent subgroup: the product of the O_p(g)."""
     cached = g._memo.get("fitting")
     if cached is not None:
         return cached
     bits = 1
     for p in g.pi():
-        bits = join_bits(g, bits, o_core(g, "p", p).bits)
-    out = subgroup_from_bits(g, bits)
+        bits = product_bits(g, bits, o_core(g, "p", p).bits)
+    out = Subgroup(g, bits)
     g._memo["fitting"] = out
     return out

@@ -156,20 +156,14 @@ def load_cached_lattice(g: FiniteGroup, directory) -> Optional[SubgroupLattice]:
         members = [_indices(mem, g.order) for mem in members]
         subs = [Subgroup(g, bits_of(mem), gens=_indices(gs, g.order))
                 for mem, gs in zip(members, gens)]
-        maximals_of = [_indices(row, len(subs)) for row in maximals]
+        lat = SubgroupLattice(group=g, subgroups=subs,
+                              maximals_of=[_indices(row, len(subs)) for row in maximals])
     except (KeyError, TypeError, ValueError):
         return None
-    overgroups_of: list[list[int]] = [[] for _ in subs]
-    for i, children in enumerate(maximals_of):
-        for j in children:
-            overgroups_of[j].append(i)
-    if any(a >= b for row in maximals_of for a, b in zip(row, row[1:])):
+    if any(a >= b for row in lat.maximals_of for a, b in zip(row, row[1:])):
         return None
-    if not _valid_lattice(g, subs, members, overgroups_of):
+    if not _valid_lattice(lat, members):
         return None
-    index_of = {s.bits: i for i, s in enumerate(subs)}
-    lat = SubgroupLattice(group=g, subgroups=subs, index_of=index_of,
-                          maximals_of=maximals_of, overgroups_of=overgroups_of)
     g._lattice = lat
     return lat
 
@@ -182,8 +176,7 @@ def _indices(values, bound: int) -> list[int]:
     return values
 
 
-def _valid_lattice(g: FiniteGroup, subs: list[Subgroup], members: list[list[int]],
-                   overgroups_of: list[list[int]]) -> bool:
+def _valid_lattice(lat: SubgroupLattice, members: list[list[int]]) -> bool:
     """Whether cached subgroups and covers are consistent.
 
     The subgroups must run strictly by (order, bits) from the trivial group
@@ -192,6 +185,7 @@ def _valid_lattice(g: FiniteGroup, subs: list[Subgroup], members: list[list[int]
     subgroups properly containing j are those containing one of the
     subgroups listed as covering j, and no listed cover contains another.
     """
+    g, subs = lat.group, lat.subgroups
     keys = [(s.order, s.bits) for s in subs]
     if not subs or keys[0] != (1, 1) or keys[-1] != (g.order, g.full_bits()):
         return False
@@ -204,7 +198,7 @@ def _valid_lattice(g: FiniteGroup, subs: list[Subgroup], members: list[list[int]
         for x in mem:
             holding[x] |= 1 << k
     above = [reduce(and_, map(holding.__getitem__, mem)) for mem in members]
-    for j, covers in enumerate(overgroups_of):
+    for j, covers in enumerate(lat.overgroups_of):
         if reduce(or_, (above[i] for i in covers), 0) != above[j] & ~(1 << j):
             return False
         if any(above[a] >> b & 1 for a in covers for b in covers if a != b):

@@ -17,7 +17,7 @@ from .errors import NotNormalized
 from .groups import (FiniteGroup, QuotientGroup, Subgroup, as_group,
                      centralizer, conjugate_bits, derived_bits,
                      map_bits_to_sub, normal_closure_bits, p_element_bits,
-                     quotient, subgroup_from_bits)
+                     quotient)
 from .lattice import all_subgroups, chief_series, fitting, normal_subgroups
 
 DispersiveOrdering = tuple[int, ...]
@@ -39,7 +39,7 @@ def has_normal_sylow(g: FiniteGroup, p: int) -> Optional[Subgroup]:
     target = p_part(g.order, p)
     bits = p_element_bits(g, p)
     if bits.bit_count() == target:
-        return subgroup_from_bits(g, bits)
+        return Subgroup(g, bits)
     return None
 
 
@@ -201,13 +201,13 @@ def induced_action(h: Subgroup, p_sub: Subgroup) -> QuotientGroup:
     cent = centralizer(g, p_sub.gens)
     hgrp = as_group(h)
     ker_bits = map_bits_to_sub(h, cent.bits & h.bits)
-    return quotient(hgrp, subgroup_from_bits(hgrp, ker_bits))
+    return quotient(hgrp, Subgroup(hgrp, ker_bits))
 
 
 def is_subnormal(g: FiniteGroup, h: Subgroup) -> bool:
     """Iterated normal closure descending from g stabilizes at h."""
     cur_bits = g.full_bits()
-    cur_gens = g.generators or tuple(range(g.order))
+    cur_gens = g.generators
     while True:
         if cur_bits == h.bits:
             return True
@@ -215,4 +215,4 @@ def is_subnormal(g: FiniteGroup, h: Subgroup) -> bool:
         if nxt == cur_bits:
             return False
         cur_bits = nxt
-        cur_gens = subgroup_from_bits(g, nxt).gens
+        cur_gens = Subgroup(g, nxt).gens

@@ -11,7 +11,7 @@ carries a witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from typing import Callable, Optional
 
@@ -20,14 +20,14 @@ from .errors import InvalidParams, NoSatellite
 from .formation import (Formation, SOLUBLE, SUPERSOLUBLE,
                         canonical_satellite, f_hypercentre, f_subnormal_bits,
                         factor_centralizer_bits, is_f_central, is_f_critical,
-                        member, nilpotent_commutator_class, p_groups, product,
+                        is_f_normal_maximal, member,
+                        nilpotent_commutator_class, p_groups, product,
                         residual, sigma_closure_check,
                         soluble_length_formation, subgroup_member)
 from .groups import (FiniteGroup, Subgroup, as_group, center, centralizer,
-                     conjugate_bits, core_bits, derived_bits, is_normal,
+                     conjugate_bits, conjugates, derived_bits, is_normal,
                      map_bits_from_sub, map_bits_to_sub, normalizer,
-                     p_element_bits, product_bits, quotient,
-                     subgroup_from_bits)
+                     p_element_bits, product_bits, quotient)
 from .lattice import (ChiefFactor, all_subgroups, fitting, frattini, hall,
                       minimal_normal_subgroups, normal_subgroups,
                       sylow_conjugates)
@@ -212,7 +212,7 @@ def _residual_shape(g, a, f, failures, notes) -> Optional[str]:
     if strictly_between:
         failures.append("residual/Frattini is not a chief factor")
         return None
-    factor = ChiefFactor(lower=subgroup_from_bits(g, phi_bits_in_g), upper=a,
+    factor = ChiefFactor(lower=Subgroup(g, phi_bits_in_g), upper=a,
                          order=a.order // phi_bits_in_g.bit_count(), primes=(p,))
     if is_f_central(g, factor, f):
         failures.append("top factor of the residual is F-central, not eccentric")
@@ -233,7 +233,7 @@ def _ii2_checks(g, a, n, f, failures, notes, conjugate_samples) -> list[str]:
             continue
         for p in prime_divisors(a.order):
             pbits = p_element_bits(g, p, a.bits)
-            psub = subgroup_from_bits(g, pbits)
+            psub = Subgroup(g, pbits)
             verdict = _action_in_satellite(g, h, psub, f, p)
             records.append(f"H order {h.order}, p={p}: {'ok' if verdict else 'fail'}")
             if not verdict:
@@ -249,7 +249,7 @@ def _ii2_checks(g, a, n, f, failures, notes, conjugate_samples) -> list[str]:
                     cbits = map_bits_from_sub(a, c.bits)
                     if cbits == pbits:
                         continue
-                    alt = _action_in_satellite(g, h, subgroup_from_bits(g, cbits), f, p)
+                    alt = _action_in_satellite(g, h, Subgroup(g, cbits), f, p)
                     if alt != verdict:
                         notes.append(
                             f"conjugate Sylow {p}-subgroup gives a different verdict "
@@ -422,7 +422,7 @@ def _lemma_2_1_1(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
     concl = None
     witness = None
     if hyp:
-        k = subgroup_from_bits(g, k_bits)
+        k = Subgroup(g, k_bits)
         inter = h_bits & k_bits
         kgrp = as_group(k)
         local = map_bits_to_sub(k, inter)
@@ -436,7 +436,7 @@ def _lemma_2_1_1(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
 def _lemma_2_1_2(g, f: Formation, h_bits: int, n_bits: int) -> TheoremReport:
     lat = all_subgroups(g)
     params = {"formation": f.name, "h_order": h_bits.bit_count(), "n_order": n_bits.bit_count()}
-    nsub = subgroup_from_bits(g, n_bits)
+    nsub = Subgroup(g, n_bits)
     hyp = h_bits in f_subnormal_bits(lat, f) and is_normal(g, nsub)
     concl = None
     witness = None
@@ -452,7 +452,7 @@ def _lemma_2_1_2(g, f: Formation, h_bits: int, n_bits: int) -> TheoremReport:
 def _lemma_2_1_3(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
     lat = all_subgroups(g)
     params = {"formation": f.name, "h_order": h_bits.bit_count(), "k_order": k_bits.bit_count()}
-    h = subgroup_from_bits(g, h_bits)
+    h = Subgroup(g, h_bits)
     hgrp = as_group(h)
     local_k = map_bits_to_sub(h, k_bits)
     hyp = (h_bits in f_subnormal_bits(lat, f)
@@ -525,15 +525,11 @@ def _lemma_2_4(g, f: Formation) -> TheoremReport:
     res = residual(g, f)
     hyp = prof.soluble and res.order > 1
     if hyp:
-        lat = all_subgroups(g)
-        gens = g.generators or tuple(range(g.order))
-        for m in lat.maximal_subgroups(g.full_subgroup()):
-            mc = core_bits(g, m.bits, gens)
-            abnormal = not member(f, quotient(g, subgroup_from_bits(g, mc)).base)
-            if abnormal and not subgroup_member(f, m):
-                hyp = False
-                notes.append("an F-abnormal maximal subgroup lies outside the class")
-                break
+        abnormal = [m for m in all_subgroups(g).maximal_subgroups(g.full_subgroup())
+                    if not is_f_normal_maximal(g, m, f)]
+        if not all(subgroup_member(f, m) for m in abnormal):
+            hyp = False
+            notes.append("an F-abnormal maximal subgroup lies outside the class")
     concl = None
     witness = None
     if hyp:
@@ -552,7 +548,7 @@ def _lemma_2_4(g, f: Formation) -> TheoremReport:
             if phi_g not in norm_bits or between:
                 problems.append("residual/Frattini(residual) is not a chief factor")
             else:
-                factor = ChiefFactor(lower=subgroup_from_bits(g, phi_g), upper=res,
+                factor = ChiefFactor(lower=Subgroup(g, phi_g), upper=res,
                                      order=res.order // phi_g.bit_count(), primes=(p,))
                 if is_f_central(g, factor, f):
                     problems.append("residual top factor is F-central, should be eccentric")
@@ -563,7 +559,7 @@ def _lemma_2_4(g, f: Formation) -> TheoremReport:
                 if not (zc == dc == fr):
                     problems.append("center, derived and Frattini subgroups of the residual differ")
                 else:
-                    common = subgroup_from_bits(agrp, zc)
+                    common = Subgroup(agrp, zc)
                     if zc != 1 and as_group(common).exponent != p:
                         problems.append("coinciding subgroup is not of exponent p")
             else:
@@ -574,24 +570,8 @@ def _lemma_2_4(g, f: Formation) -> TheoremReport:
             if p == 2 and agrp.exponent > 4:
                 problems.append("residual 2-group exponent exceeds 4")
             # (6) abnormal maximal subgroups are pairwise conjugate
-            gens = g.generators or tuple(range(g.order))
-            abnormal = []
-            for m in all_subgroups(g).maximal_subgroups(g.full_subgroup()):
-                mc = core_bits(g, m.bits, gens)
-                if not member(f, quotient(g, subgroup_from_bits(g, mc)).base):
-                    abnormal.append(m.bits)
-            if abnormal:
-                orbit = {abnormal[0]}
-                work = [abnormal[0]]
-                while work:
-                    b = work.pop()
-                    for x in gens:
-                        c = conjugate_bits(g, b, x)
-                        if c not in orbit:
-                            orbit.add(c)
-                            work.append(c)
-                if not all(b in orbit for b in abnormal):
-                    problems.append("F-abnormal maximal subgroups fall into several conjugacy classes")
+            if abnormal and not {m.bits for m in abnormal} <= conjugates(g, abnormal[0].bits):
+                problems.append("F-abnormal maximal subgroups fall into several conjugacy classes")
         concl = not problems
         witness = "; ".join(problems) if problems else None
     return _report("lemma-2.4", g, params, hyp, concl, witness, notes)
@@ -621,7 +601,7 @@ def _lemma_2_5(g, f: Formation) -> TheoremReport:
             agrp = as_group(gp)
             phi_p = map_bits_from_sub(gp, frattini(agrp).bits)
             cfac = factor_centralizer_bits(
-                g, ChiefFactor(lower=subgroup_from_bits(g, phi_p), upper=gp,
+                g, ChiefFactor(lower=Subgroup(g, phi_p), upper=gp,
                                order=gp.order // phi_p.bit_count(),
                                primes=prime_divisors(gp.order // phi_p.bit_count())))
             comp_order = g.order // gp.order
@@ -670,7 +650,7 @@ def _lemma_2_6(g) -> TheoremReport:
                 sgrp = as_group(s)
                 inter = s.bits & phi.bits
                 local = map_bits_to_sub(s, inter)
-                q = quotient(sgrp, subgroup_from_bits(sgrp, local)).base
+                q = quotient(sgrp, Subgroup(sgrp, local)).base
                 prim_cyclic = (len(prime_divisors(q.order)) <= 1
                                and max(q.element_orders()) == q.order)
                 if not (prim_cyclic or is_miller_moreno(q)):
@@ -687,7 +667,7 @@ def _lemma_2_7(g, f: Formation, e_bits: int) -> TheoremReport:
     params = {"formation": f.name, "e_order": e_bits.bit_count()}
     if not f.has_satellite:
         raise NoSatellite(f.name)
-    e = subgroup_from_bits(g, e_bits)
+    e = Subgroup(g, e_bits)
     primes = prime_divisors(e.order)
     hyp = is_normal(g, e) and len(primes) == 1
     concl = None
@@ -764,7 +744,7 @@ def _lemma_2_14(g, f: Formation, e_bits: int) -> TheoremReport:
     params = {"formation": f.name, "e_order": e_bits.bit_count()}
     if not (f.saturated and f.contains_nilpotent):
         raise InvalidParams(f"{f.name}: lemma needs a saturated formation containing N")
-    e = subgroup_from_bits(g, e_bits)
+    e = Subgroup(g, e_bits)
     hyp = is_normal(g, e)
     concl = None
     witness = None
@@ -773,7 +753,7 @@ def _lemma_2_14(g, f: Formation, e_bits: int) -> TheoremReport:
         egrp = as_group(e)
         inter = e.bits & phi.bits
         local = map_bits_to_sub(e, inter)
-        quot = quotient(egrp, subgroup_from_bits(egrp, local)).base
+        quot = quotient(egrp, Subgroup(egrp, local)).base
         hyp = member(f, quot)
         if hyp:
             concl = subgroup_member(f, e)
@@ -788,7 +768,7 @@ def _lemma_2_15(g, f: Formation, h_bits: int, m_bits: int) -> TheoremReport:
         raise InvalidParams(f"{f.name}: lemma needs a saturated formation")
     res = residual(g, f)
     fit = fitting(g)
-    h = subgroup_from_bits(g, h_bits)
+    h = Subgroup(g, h_bits)
     hyp = (subgroup_is_nilpotent(res)
            and subgroup_member(f, h)
            and h_bits & m_bits == h_bits
@@ -796,7 +776,7 @@ def _lemma_2_15(g, f: Formation, h_bits: int, m_bits: int) -> TheoremReport:
     concl = None
     witness = None
     if hyp:
-        m = subgroup_from_bits(g, m_bits)
+        m = Subgroup(g, m_bits)
         mgrp = as_group(m)
         local_h = map_bits_to_sub(m, h_bits)
         hyp = local_h in f_subnormal_bits(all_subgroups(mgrp), f)
@@ -842,7 +822,7 @@ def _prop_3_1(g, use_derived: bool = True, check_id: str = "lemma-3.1") -> Theor
                 for t in (i, j, k):
                     s = subs[t]
                     tb = derived_bits(g, s.bits) if use_derived else s.bits
-                    nz = normalizer(g, subgroup_from_bits(g, tb))
+                    nz = normalizer(g, Subgroup(g, tb))
                     idxs.append(g.order // nz.order)
                 for x in range(3):
                     for y in range(x + 1, 3):
@@ -962,8 +942,4 @@ LEMMA_IDS = tuple(sorted(_LEMMAS))
 
 
 def _delegate_theorem(check_id, tid, g, **kw) -> TheoremReport:
-    rep = verify_theorem(tid, g, **kw)
-    return TheoremReport(check_id=check_id, group=rep.group, params=rep.params,
-                         hypotheses_met=rep.hypotheses_met,
-                         conclusion_holds=rep.conclusion_holds,
-                         witness=rep.witness, notes=rep.notes)
+    return replace(verify_theorem(tid, g, **kw), check_id=check_id)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from formations.dsl import parse_group
 from formations.groups import Permutation, from_generators
 
+from oracle import o_perm_elements
+
 PROPERTY = settings(max_examples=150, deadline=None)
 
 
@@ -19,6 +21,15 @@ def groups():
 def table_of(g):
     """The Cayley table as lists: entry (a, b) is a*b."""
     return [list(row) for row in zip(*g.right_rows)]
+
+
+def s4_perms(s4):
+    """The elements of the fixture's S4 as permutations, by index: S4 is
+    built from the transposition (0 1) and the 4-cycle (0 1 2 3)."""
+    gens = [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])]
+    perms = [Permutation(p) for p in o_perm_elements([q.images for q in gens])]
+    assert len(perms) == s4.order and [perms[i] for i in s4.generators] == gens
+    return perms
 
 
 def members(bits):

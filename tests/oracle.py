@@ -223,3 +223,19 @@ def o_normal_closure(table, s):
     for g in range(len(table)):
         conj |= o_conjugate(table, inv, s, g)
     return o_closure(table, conj)
+
+
+def o_perm_elements(gens):
+    """The elements of the permutation group generated by gens (image
+    tuples on one set of points), in `from_generators`' documented order:
+    breadth first from the identity, each element followed by every
+    generator in the given order; p then q has images q[p[i]]."""
+    elems = [tuple(range(len(gens[0])))]
+    seen = set(elems)
+    for cur in elems:  # grows while it is read
+        for gen in gens:
+            nxt = tuple(gen[i] for i in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                elems.append(nxt)
+    return elems

@@ -200,7 +200,7 @@ def test_f_subnormal(groups):
 
 def test_f_subnormal_exhaustive_chain_oracle(groups):
     # reachability answer equals a direct search over all maximal chains
-    from formations.groups import core_bits, quotient, subgroup_from_bits
+    from formations.groups import core_bits, quotient
     from formations.formation import member as fmember
     for name in ("S4", "SL23"):
         g = groups[name]
@@ -213,7 +213,7 @@ def test_f_subnormal_exhaustive_chain_oracle(groups):
 
 
 def _chain_exists(g, lat, h, f):
-    from formations.groups import as_group, core_bits, map_bits_to_sub, quotient, subgroup_from_bits
+    from formations.groups import Subgroup, as_group, core_bits, map_bits_to_sub, quotient
     from formations.formation import member as fmember
     if h.is_full:
         return True
@@ -222,7 +222,7 @@ def _chain_exists(g, lat, h, f):
         cbits = core_bits(g, h.bits, k.gens)
         kgrp = as_group(k)
         local = map_bits_to_sub(k, cbits)
-        q = quotient(kgrp, subgroup_from_bits(kgrp, local)).base
+        q = quotient(kgrp, Subgroup(kgrp, local)).base
         if fmember(f, q) and _chain_exists(g, lat, k, f):
             return True
     return False

@@ -8,20 +8,21 @@ from hypothesis import strategies as st
 
 from formations.dsl import parse_group
 from formations.errors import ClosureExceedsCap, NotNormal
-from formations.groups import (Permutation, as_group, center, centralizer,
-                               bits_of, commutator_subgroup, core,
+from formations.groups import (FiniteGroup, Permutation, Subgroup, as_group,
+                               bits_of, center, centralizer,
+                               commutator_subgroup, conjugates, core,
                                derived_bits, direct_product, from_generators,
                                generated_subgroup, indices_of, is_normal,
                                map_bits_from_sub, map_bits_to_sub,
                                normal_closure, normalizer, product_bits,
-                               quotient, subgroup_from_bits)
+                               quotient)
 from formations.lattice import all_subgroups
 from formations.structure import subgroup_is_abelian
 
-from conftest import PROPERTY, members, perm_groups, table_of
-from oracle import (o_center, o_centralizer, o_closure, o_core, o_derived,
-                    o_is_normal, o_normal_closure, o_normalizer,
-                    o_quotient_table)
+from conftest import PROPERTY, members, perm_groups, s4_perms, table_of
+from oracle import (o_center, o_centralizer, o_closure, o_conjugate, o_core,
+                    o_derived, o_inverses, o_is_normal, o_normal_closure,
+                    o_normalizer, o_quotient_table)
 
 
 @given(st.lists(st.integers(0, 6000)))
@@ -95,8 +96,8 @@ def test_generated_subgroup(groups):
     assert generated_subgroup(s3, [transposition]).order == 2
     assert generated_subgroup(s3, []).order == 1
     # two double transpositions of S4 generate the Klein four group
-    dts = [i for i in range(s4.order)
-           if s4.element_orders()[i] == 2 and s4.labels[i].count("(") == 2]
+    dts = [i for i, p in enumerate(s4_perms(s4))
+           if s4.element_orders()[i] == 2 and len(p.cycles()) == 2]
     v4 = generated_subgroup(s4, dts[:2])
     assert v4.order == 4
     assert o_closure(table_of(s4), set(dts[:2])) == frozenset(v4.members)
@@ -145,13 +146,9 @@ def _a_transposition(g):
 
 def test_core(groups):
     s4 = groups["S4"]
-    # point stabilizer of 4: elements whose cycle form never moves point 4
-    stab_bits = 0
-    for i in range(s4.order):
-        moved = {t for cyc in s4.labels[i].strip("()").split(")(") for t in cyc.split()}
-        if "4" not in moved:
-            stab_bits |= 1 << i
-    h = subgroup_from_bits(s4, stab_bits)
+    # point stabilizer of the last point
+    stab_bits = bits_of(i for i, p in enumerate(s4_perms(s4)) if p.images[3] == 3)
+    h = Subgroup(s4, stab_bits)
     assert h.order == 6
     assert core(s4, h).order == 1
     v4 = _normal_v4(s4)
@@ -279,15 +276,21 @@ def test_product_bits(groups):
 @given(perm_groups())
 def test_subgroup_operations_match_oracle(g):
     """For every subgroup H, the generator-based normalizer, centralizer,
-    core, normal closure, derived subgroup, normality and commutativity
-    against brute force over all elements; the centre; and products H*K."""
+    core, normal closure, derived subgroup, conjugates, normality and
+    commutativity against brute force over all elements; computed
+    generating sets; the centre; and products H*K."""
     assume(g.order <= 24)
     table = table_of(g)
+    inv = o_inverses(table)
     assert members(center(g).bits) == o_center(table)
     assert g.is_abelian() == (len(o_center(table)) == g.order)
+    assert g.closure_bits(FiniteGroup("H", g.right_rows).generators) == g.full_bits()
     subs = all_subgroups(g).subgroups
     for h in subs:
         s = members(h.bits)
+        assert g.closure_bits(Subgroup(g, h.bits).gens) == h.bits
+        assert {members(b) for b in conjugates(g, h.bits)} == \
+            {o_conjugate(table, inv, s, x) for x in range(g.order)}
         assert members(normalizer(g, h).bits) == o_normalizer(table, s)
         assert members(centralizer(g, h.gens).bits) == o_centralizer(table, s)
         assert members(core(g, h).bits) == o_core(table, s)

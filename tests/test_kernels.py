@@ -13,7 +13,8 @@ from formations.lattice import (all_subgroups, minimal_normal_subgroups,
                                 normal_subgroups)
 
 from conftest import PROPERTY, members, perm_gens, perm_groups, table_of
-from oracle import o_closure, o_maximal_in, o_normal_subgroups, o_subgroups
+from oracle import (o_closure, o_maximal_in, o_normal_subgroups,
+                    o_perm_elements, o_subgroups)
 
 
 def test_backend_selected():
@@ -85,7 +86,7 @@ def test_table_matches_composition(gens, data):
     row of a group of order <= 60, a few rows of a larger one."""
     degree = gens[0].degree
     g = from_generators(gens, "H")
-    perms = [Permutation.from_cycles(degree, _cycles(label)) for label in g.labels]
+    perms = [Permutation(p) for p in o_perm_elements([q.images for q in gens])]
     index = {p: i for i, p in enumerate(perms)}
     assert len(index) == g.order and perms[0] == Permutation.identity(degree)
     assert [perms[i] for i in g.generators] == gens
@@ -95,16 +96,14 @@ def test_table_matches_composition(gens, data):
         assert [index[perms[i] * q] for q in perms] == table_of(g)[i]
 
 
-def _cycles(label):
-    """0-based cycles of a label such as "(1 2 3)(4 5)"."""
-    return [tuple(int(x) - 1 for x in c.split()) for c in label.strip("()").split(")(") if c]
-
-
 def test_a6_right_rows_match_composition():
     """Right row y of A6 (order 360) maps x to the index of x followed by
     y, for every x, at both generators and two other elements."""
     a6 = parse_group("A6")
-    perms = [Permutation.from_cycles(6, _cycles(label)) for label in a6.labels]
+    gens = [Permutation.from_cycles(6, [(0, 1, 2)]),
+            Permutation.from_cycles(6, [(1, 2, 3, 4, 5)])]
+    perms = [Permutation(p) for p in o_perm_elements([q.images for q in gens])]
     index = {p: i for i, p in enumerate(perms)}
+    assert len(index) == a6.order and [perms[i] for i in a6.generators] == gens
     for y in (*a6.generators, 1, a6.order - 1):
         assert a6.right_row(y) == tuple(index[p * perms[y]] for p in perms)

@@ -5,8 +5,8 @@ the brute-force oracle on random permutation groups of degree at most 6."""
 from hypothesis import assume, given
 
 from formations.dsl import parse_group
-from formations.groups import (as_group, bits_of, map_bits_from_sub,
-                               map_bits_to_sub, quotient, subgroup_from_bits)
+from formations.groups import (Subgroup, as_group, bits_of, map_bits_from_sub,
+                               map_bits_to_sub, quotient)
 from formations.lattice import all_subgroups
 
 from conftest import PROPERTY, members, perm_groups, table_of
@@ -22,7 +22,7 @@ def test_subgroup_embedding_matches_oracle(g):
     assume(g.order <= 24)
     expected = o_subgroups(table_of(g))
     for s in expected:
-        h = subgroup_from_bits(g, bits_of(s))
+        h = Subgroup(g, bits_of(s))
         sub = as_group(h)
         mem = h.members
         assert [[mem[x] for x in row] for row in table_of(sub)] == \
@@ -45,7 +45,7 @@ def test_quotient_maps_match_oracle(g):
     table = table_of(g)
     subs = o_subgroups(table)
     for nset in o_normal_subgroups(table):
-        q = quotient(g, subgroup_from_bits(g, bits_of(nset)))
+        q = quotient(g, Subgroup(g, bits_of(nset)))
         proj = q.projection
         assert table_of(q.base) == o_quotient_table(table, nset)
         assert all(proj[g.mult(a, b)] == q.base.mult(proj[a], proj[b])
@@ -71,7 +71,7 @@ def test_one_group_per_table(g):
         assert seen.setdefault(sub.right_rows, sub) is sub
         assert sub.name.startswith(f"H|{h.order}.") or sub is g
     for nset in o_normal_subgroups(table_of(g)):
-        base = quotient(g, subgroup_from_bits(g, bits_of(nset))).base
+        base = quotient(g, Subgroup(g, bits_of(nset))).base
         assert seen.setdefault(base.right_rows, base) is base
 
 

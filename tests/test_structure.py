@@ -11,7 +11,7 @@ from formations.structure import (dispersiveness,
                                   is_phi_dispersive, is_schmidt, is_subnormal,
                                   profile)
 
-from conftest import PROPERTY, members, perm_groups, table_of
+from conftest import PROPERTY, members, perm_groups, s4_perms, table_of
 from oracle import o_is_nilpotent, o_is_subnormal, o_is_supersoluble
 
 
@@ -131,9 +131,9 @@ def test_is_subnormal(groups):
     v4 = next(s for s in lat.by_order(4) if is_normal(s4, s))
     c2_in_v4 = next(s for s in lat.by_order(2) if s.bits & v4.bits == s.bits)
     assert is_subnormal(s4, c2_in_v4)
+    perms = s4_perms(s4)
     transposition = next(
-        s for s in lat.by_order(2)
-        if s4.labels[[m for m in s.members if m][0]].count("(") == 1)
+        s for s in lat.by_order(2) if len(perms[max(s.members)].cycles()) == 1)
     assert not is_subnormal(s4, transposition)
     assert is_subnormal(s4, s4.full_subgroup())
     for name in ("S4", "SL23"):
