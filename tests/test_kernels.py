@@ -56,6 +56,7 @@ def test_normal_subgroups_match_oracle(g):
     expected = o_normal_subgroups(table_of(g))
     got = [s.bits for s in normal_subgroups(g)]
     assert got == sorted(got, key=lambda b: (b.bit_count(), b))
+    assert len(got) == len(expected)
     assert {members(b) for b in got} == expected
     nontrivial = [s for s in expected if len(s) > 1]
     minimal = {s for s in nontrivial if not any(t < s for t in nontrivial)}
