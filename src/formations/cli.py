@@ -2,13 +2,14 @@
 
 Exit codes: 0 = all checks passed (or pure analysis succeeded); 1 = at least
 one verification had its hypotheses met and its conclusion fail (a witness is
-printed); 2 = usage, parse, or cap errors.
+printed); 2 = usage, parse, cap or file errors; 3 = a corpus check raised an
+unexpected exception (its rows are replaced by an error row, the other checks
+still run).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Optional
@@ -17,7 +18,7 @@ from .dsl import formation_from_text, parse_group
 from .errors import FormationsError
 from .formation import (BUILTINS, Formation, f_hypercentre, is_f_critical,
                         member, residual)
-from .groups import FiniteGroup
+from .groups import DEFAULT_ORDER_CAP
 from .harness import (DEFAULT_SEED, LEMMA_INSTANCES_PER_GROUP, RunConfig, SUITES,
                       lemma_instances, run_corpus)
 from .lattice import (DEFAULT_LATTICE_ORDER_CAP, DEFAULT_SUBGROUP_CAP,
@@ -31,16 +32,13 @@ from .theorems import (LEMMA_IDS, TheoremReport, classify_type, verify_lemma,
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_ERROR = 3
 
 
 def _formation_arg(text: str) -> Formation:
     if text in BUILTINS:
         return BUILTINS[text]
     return formation_from_text(text)
-
-
-def _group_arg(text: str, cap: int) -> FiniteGroup:
-    return parse_group(text, cap=cap)
 
 
 def _emit(doc: dict, args) -> None:
@@ -70,7 +68,7 @@ def _print_text(doc: dict, indent: int = 0) -> None:
 
 
 def cmd_analyze(args) -> int:
-    g = _group_arg(args.group, args.order_cap)
+    g = parse_group(args.group, cap=args.order_cap)
     f = _formation_arg(args.formation)
     prof = profile(g)
     res = residual(g, f)
@@ -105,7 +103,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    g = _group_arg(args.group, args.order_cap)
+    g = parse_group(args.group, cap=args.order_cap)
     lat = all_subgroups(g, args.lattice_cap, args.subgroup_cap)
     by_order: dict[int, int] = {}
     for s in lat.subgroups:
@@ -124,7 +122,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    g = _group_arg(args.group, args.order_cap)
+    g = parse_group(args.group, cap=args.order_cap)
     f = _formation_arg(args.formation)
     outcome = classify_type(g, args.n, f)
     doc = {"command": "classify", "group": g.name, "formation": f.name,
@@ -141,18 +139,15 @@ def cmd_verify(args) -> int:
 
     reports = []
     if args.corpus:
-        entries = load_corpus(args.corpus)
-        groups = [(_group_arg(e.spec, args.order_cap), e.name) for e in entries]
-        groups = [(g, name) for g, name in groups]
+        groups = [parse_group(e.spec, name=e.name, cap=args.order_cap)
+                  for e in load_corpus(args.corpus)]
     else:
         if not args.group:
             print("verify needs --group or --corpus", file=sys.stderr)
             return EXIT_USAGE
-        groups = [(_group_arg(args.group, args.order_cap), None)]
+        groups = [parse_group(args.group, cap=args.order_cap)]
 
-    for g, name in groups:
-        if name:
-            g.name = name
+    for g in groups:
         if args.theorem:
             rep = verify_theorem(args.theorem, g, n=args.n, r=args.r, f=f)
         else:
@@ -208,7 +203,7 @@ def cmd_corpus(args) -> int:
     if args.timing:
         report["elapsed_seconds"] = round(time.monotonic() - started, 3)
     _emit(report, args)
-    return EXIT_VIOLATION if report["status"] != "ok" else EXIT_OK
+    return {"ok": EXIT_OK, "violations": EXIT_VIOLATION}.get(report["status"], EXIT_ERROR)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--output", help="also write the JSON report to this path")
-    common.add_argument("--order-cap", type=int, default=5000)
+    common.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="profile a group against a formation",
@@ -260,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags", help="only groups carrying one of these comma-separated tags")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir")
-    p.add_argument("--seed", type=int, default=20260809)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--detail", action="store_true",
                    help="include every per-instance result in the report")
@@ -281,6 +276,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

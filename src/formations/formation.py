@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 from .arith import is_prime, p_part, prime_divisors
 from .errors import NoSatellite, NotMaximal
 from .groups import (FiniteGroup, Subgroup, as_group, bits_of, core_bits,
-                     derived_bits, map_bits_to_sub, quotient)
+                     derived_bits, quotient, subquotient)
 from .lattice import (ChiefFactor, SubgroupLattice, all_subgroups,
                       chief_series, minimal_normal_subgroups, normal_subgroups)
 from .structure import (is_nilpotent, is_soluble, is_supersoluble,
@@ -89,45 +90,6 @@ def subgroup_member(f: Formation, h: Subgroup) -> bool:
 # built-in formations
 
 
-NILPOTENT = Formation(
-    name="N", key="N", test=is_nilpotent,
-    hereditary=True, saturated=True, msl=MSL_UNBOUNDED,
-    contains_nilpotent=True, within_supersoluble=True, nl_bound=1,
-)
-
-SUPERSOLUBLE = Formation(
-    name="U", key="U", test=is_supersoluble,
-    hereditary=True, saturated=True, msl=1,
-    contains_nilpotent=True, within_supersoluble=True, nl_bound=2,
-)
-
-SOLUBLE = Formation(
-    name="S", key="S", test=is_soluble,
-    hereditary=True, saturated=True, msl=MSL_UNBOUNDED,
-    contains_nilpotent=True, within_supersoluble=False, nl_bound=None,
-)
-
-
-def nilpotent_length_class(r: int) -> Formation:
-    """N^r: soluble groups of nilpotent length at most r."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if r == 1:
-        return NILPOTENT
-
-    def test(g: FiniteGroup, _r=r) -> bool:
-        nl = nilpotent_length(g)
-        return nl is not None and nl <= _r
-
-    return Formation(
-        name=f"N^{r}", key=f"N^{r}", test=test,
-        hereditary=True, saturated=True, msl=MSL_UNBOUNDED,
-        contains_nilpotent=True,
-        within_supersoluble=False,
-        nl_bound=r,
-    )
-
-
 def p_groups(p: int) -> Formation:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -154,6 +116,49 @@ def abelian_exponent(m: int) -> Formation:
         name=f"A({m})", key=f"A({m})", test=test,
         hereditary=True, saturated=(m == 1), msl=MSL_UNBOUNDED if m == 1 else 0,
         contains_nilpotent=False, within_supersoluble=True, nl_bound=1,
+    )
+
+
+NILPOTENT = Formation(
+    name="N", key="N", test=is_nilpotent,
+    hereditary=True, saturated=True, msl=MSL_UNBOUNDED,
+    contains_nilpotent=True, within_supersoluble=True, nl_bound=1,
+    satellite_fn=p_groups,
+)
+
+SUPERSOLUBLE = Formation(
+    name="U", key="U", test=is_supersoluble,
+    hereditary=True, saturated=True, msl=1,
+    contains_nilpotent=True, within_supersoluble=True, nl_bound=2,
+    satellite_fn=lambda p: product(p_groups(p), abelian_exponent(p - 1)),
+)
+
+SOLUBLE = Formation(
+    name="S", key="S", test=is_soluble,
+    hereditary=True, saturated=True, msl=MSL_UNBOUNDED,
+    contains_nilpotent=True, within_supersoluble=False, nl_bound=None,
+    satellite_fn=lambda p: SOLUBLE,
+)
+
+
+@cache
+def soluble_length_formation(r: int) -> Formation:
+    """N^r: soluble groups of nilpotent length at most r (N^1 is N), with
+    the satellite F(p) = Gp(p) * N^(r-1)."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if r == 1:
+        return NILPOTENT
+
+    def test(g: FiniteGroup) -> bool:
+        nl = nilpotent_length(g)
+        return nl is not None and nl <= r
+
+    return Formation(
+        name=f"N^{r}", key=f"N^{r}", test=test,
+        hereditary=True, saturated=True, msl=MSL_UNBOUNDED,
+        contains_nilpotent=True, within_supersoluble=False, nl_bound=r,
+        satellite_fn=lambda p: product(p_groups(p), soluble_length_formation(r - 1)),
     )
 
 
@@ -261,61 +266,6 @@ def _hereditary_by_bound(msl: int, nl_bound: Optional[int]) -> Optional[bool]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# canonical local satellites
-
-
-def canonical_satellite(f: Formation, p: int) -> Formation:
-    """Canonical local satellite value F(p) for the built-in table."""
-    if not f.has_satellite:
-        raise NoSatellite(f"{f.name} has no canonical satellite table")
-    return f.satellite_fn(p)
-
-
-def _satellite_n(p: int) -> Formation:
-    return p_groups(p)
-
-
-def _satellite_u(p: int) -> Formation:
-    return product(p_groups(p), abelian_exponent(p - 1))
-
-
-def _satellite_s(p: int) -> Formation:
-    return SOLUBLE
-
-
-def _satellite_nr(r: int):
-    def fn(p: int, _r=r) -> Formation:
-        if _r == 1:
-            return p_groups(p)
-        return product(p_groups(p), nilpotent_length_class(_r - 1))
-    return fn
-
-
-def _with_satellite(f: Formation, fn) -> Formation:
-    return Formation(name=f.name, key=f.key, test=f.test, hereditary=f.hereditary,
-                     saturated=f.saturated, msl=f.msl,
-                     contains_nilpotent=f.contains_nilpotent,
-                     within_supersoluble=f.within_supersoluble,
-                     nl_bound=f.nl_bound, satellite_fn=fn)
-
-
-NILPOTENT = _with_satellite(NILPOTENT, _satellite_n)
-SUPERSOLUBLE = _with_satellite(SUPERSOLUBLE, _satellite_u)
-SOLUBLE = _with_satellite(SOLUBLE, _satellite_s)
-
-_NR_CACHE: dict[int, Formation] = {1: NILPOTENT}
-
-
-def soluble_length_formation(r: int) -> Formation:
-    """N^r with its satellite attached (cached)."""
-    if r in _NR_CACHE:
-        return _NR_CACHE[r]
-    f = _with_satellite(nilpotent_length_class(r), _satellite_nr(r))
-    _NR_CACHE[r] = f
-    return f
-
-
 BUILTINS: dict[str, Formation] = {
     "N": NILPOTENT,
     "U": SUPERSOLUBLE,
@@ -328,7 +278,14 @@ BUILTINS: dict[str, Formation] = {
 
 
 # ---------------------------------------------------------------------------
-# chief-factor centrality and the hypercentre
+# canonical local satellites, chief-factor centrality and the hypercentre
+
+
+def canonical_satellite(f: Formation, p: int) -> Formation:
+    """Canonical local satellite value F(p) for the built-in table."""
+    if not f.has_satellite:
+        raise NoSatellite(f"{f.name} has no canonical satellite table")
+    return f.satellite_fn(p)
 
 
 def factor_centralizer_bits(g: FiniteGroup, factor: ChiefFactor) -> int:
@@ -373,8 +330,7 @@ def f_hypercentre(g: FiniteGroup, f: Formation) -> Subgroup:
         advanced = False
         for mn in minimal_normal_subgroups(q.base):
             upper_bits = q.preimage_bits(mn.bits)
-            factor = ChiefFactor(lower=z, upper=Subgroup(g, upper_bits),
-                                 order=mn.order, primes=prime_divisors(mn.order))
+            factor = ChiefFactor(lower=z, upper=Subgroup(g, upper_bits))
             if is_f_central(g, factor, f):
                 zbits = upper_bits
                 advanced = True
@@ -413,14 +369,11 @@ def f_subnormal_bits(lat: SubgroupLattice, f: Formation) -> frozenset[int]:
     while stack:
         ki = stack.pop()
         k = lat.subgroups[ki]
-        kgrp = as_group(k)
         for mi in lat.maximals_of[ki]:
             if mi in good:
                 continue
             m = lat.subgroups[mi]
-            local_core = map_bits_to_sub(k, core_bits(g, m.bits, k.gens))
-            q = quotient(kgrp, Subgroup(kgrp, local_core)).base
-            if member(f, q):
+            if member(f, subquotient(k, core_bits(g, m.bits, k.gens)).base):
                 good.add(mi)
                 stack.append(mi)
     out = frozenset(lat.subgroups[i].bits for i in good)

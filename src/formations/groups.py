@@ -332,17 +332,14 @@ class Subgroup:
     different parents never compare equal.
     """
 
-    __slots__ = ("parent", "bits", "_gens", "_members")
+    __slots__ = ("parent", "bits", "order", "_gens", "_members")
 
     def __init__(self, parent: FiniteGroup, bits: int, gens: Optional[Sequence[int]] = None):
         self.parent = parent
         self.bits = bits
+        self.order = bits.bit_count()
         self._gens = tuple(gens) if gens is not None else None
         self._members: Optional[tuple[int, ...]] = None
-
-    @property
-    def order(self) -> int:
-        return self.bits.bit_count()
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -713,6 +710,13 @@ def as_group(h: Subgroup) -> FiniteGroup:
     sub = _section(g, rows, gens)
     g._materialized[h.bits] = sub
     return sub
+
+
+def subquotient(h: Subgroup, kbits: int) -> QuotientGroup:
+    """H/K for a normal subgroup K of h given by its bitmask in h's parent:
+    the quotient of `as_group(h)` by K's local bits."""
+    hgrp = as_group(h)
+    return quotient(hgrp, Subgroup(hgrp, map_bits_to_sub(h, kbits)))
 
 
 def _section(g: FiniteGroup, rows: Sequence[tuple[int, ...]], gens: Sequence[int]) -> FiniteGroup:

@@ -1,5 +1,6 @@
 """Corpus harness: run theorem/lemma checks over many groups and aggregate
-machine-readable results with witnesses, vacuity counts, and skips.
+machine-readable results with witnesses, vacuity counts, skips, and the
+errors of checks that raised.
 
 Work items are independent per group; with workers > 1 they run in a process
 pool and the merge is order-independent, so reports stay byte-identical
@@ -18,7 +19,8 @@ from .dsl import parse_group
 from .errors import CorpusParseError, FormationsError, LatticeExceedsCap
 from .formation import (BUILTINS, NILPOTENT, f_subnormal_bits,
                         local_membership, member, p_groups)
-from .groups import FiniteGroup, Subgroup, as_group, map_bits_from_sub
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, as_group,
+                     map_bits_from_sub)
 from .lattice import all_subgroups, normal_subgroups
 from .storage import CorpusEntry, cache_lattice, load_cached_lattice
 from .structure import dispersiveness, profile
@@ -35,7 +37,7 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     workers: int = 1
     cache_dir: Optional[str] = None
-    order_cap: int = 5000
+    order_cap: int = DEFAULT_ORDER_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +148,8 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
                 for f in _sample(rng, fs, 2) for b in _sample(rng, pool, k)]
     if lemma_id == "2.9":
         lat = all_subgroups(g)
-        full = g.full_bits()
-        pairs = []
         subs = lat.subgroups
-        for i, a in enumerate(subs):
-            for b in subs[i:]:
-                inter = (a.bits & b.bits).bit_count()
-                if a.order * b.order == g.order * inter:
-                    pairs.append((a.bits, b.bits))
+        pairs = [(subs[i].bits, subs[j].bits) for i, j in lat.factorizations()]
         xs = tuple(_sample(rng, list(range(g.order)), 4))
         return [{"a_bits": ab, "b_bits": bb, "xs": xs} for ab, bb in _sample(rng, pairs, k)]
     if lemma_id == "2.10":
@@ -223,6 +219,16 @@ def _skip(check_id, gname, reason) -> dict:
 
 
 def _run_one_check(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
+    """The rows of one check on one group. An exception inside the check
+    becomes one error row in place of its rows, and the run goes on."""
+    try:
+        return _check_rows(g, prof, check, cfg)
+    except Exception as exc:
+        return [{"check": check.check_id, "suite_check": check.check_id, "group": g.name,
+                 "error": f"{type(exc).__name__}: {exc}"}]
+
+
+def _check_rows(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
     out = []
     if check.kind == "satellite":
         for fname in check.grid:
@@ -232,16 +238,9 @@ def _run_one_check(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
             except LatticeExceedsCap:
                 out.append(_skip(check.check_id, g.name, "lattice cap"))
                 continue
-            out.append({
-                "check": check.check_id, "suite_check": check.check_id,
-                "group": g.name,
-                "params": {"formation": fname},
-                "hypotheses_met": True,
-                "conclusion_holds": agree,
-                "witness": None if agree else
-                    f"membership and local definition disagree for {fname}",
-                "notes": [],
-            })
+            witness = None if agree else f"membership and local definition disagree for {fname}"
+            rep = TheoremReport(check.check_id, g.name, {"formation": fname}, True, agree, witness)
+            out.append(_result(rep, check.check_id))
         return out
 
     if check.kind == "classify":
@@ -250,16 +249,12 @@ def _run_one_check(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
                 continue
             outcome = classify_type(g, n, BUILTINS[fname])
             ok = outcome.kind == "type_ii"
-            out.append({
-                "check": check.check_id, "suite_check": check.check_id,
-                "group": g.name,
-                "params": {"formation": fname, "n": n},
-                "hypotheses_met": True,
-                "conclusion_holds": ok,
-                "witness": None if ok else f"expected type_ii, got {outcome.kind}: {outcome.failures}",
-                "notes": [f"a_order={outcome.a_order}", f"b_order={outcome.b_order}",
-                          f"a_shape={outcome.a_shape}"],
-            })
+            witness = None if ok else f"expected type_ii, got {outcome.kind}: {outcome.failures}"
+            notes = (f"a_order={outcome.a_order}", f"b_order={outcome.b_order}",
+                     f"a_shape={outcome.a_shape}")
+            rep = TheoremReport(check.check_id, g.name, {"formation": fname, "n": n},
+                                True, ok, witness, notes)
+            out.append(_result(rep, check.check_id))
         return out
 
     if check.kind == "mann":
@@ -302,16 +297,21 @@ def _run_one_check(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
 
 
 def _aggregate(check_ids: Sequence[str], rows: list[dict]) -> dict:
+    """Per-check counts. A check that raised lists its error rows under
+    `errors` (absent when there are none) and makes the status "errors",
+    which outranks "violations"."""
     checks = []
-    any_violation = False
+    any_violation = any_error = False
     for cid in check_ids:
         mine = [r for r in rows if r["suite_check"] == cid]
         skips = [r for r in mine if "skip" in r]
-        results = [r for r in mine if "skip" not in r]
+        errors = [r for r in mine if "error" in r]
+        results = [r for r in mine if "skip" not in r and "error" not in r]
         met = [r for r in results if r["hypotheses_met"]]
         failures = [r for r in met if r["conclusion_holds"] is False]
         any_violation |= bool(failures)
-        checks.append({
+        any_error |= bool(errors)
+        entry = {
             "id": cid,
             "instances": len(results),
             "hypotheses_met": len(met),
@@ -323,8 +323,12 @@ def _aggregate(check_ids: Sequence[str], rows: list[dict]) -> dict:
                 for r in failures
             ],
             "skips": [{"group": r["group"], "reason": r["skip"]} for r in skips],
-        })
-    return {"checks": checks, "status": "violations" if any_violation else "ok"}
+        }
+        if errors:
+            entry["errors"] = [{"group": r["group"], "error": r["error"]} for r in errors]
+        checks.append(entry)
+    status = "errors" if any_error else "violations" if any_violation else "ok"
+    return {"checks": checks, "status": status}
 
 
 def run_corpus(entries: Iterable[CorpusEntry], checks: Optional[Sequence[CheckSpec]] = None,

@@ -99,6 +99,13 @@ class SubgroupLattice:
     def by_order(self, order: int) -> list[Subgroup]:
         return [s for s in self.subgroups if s.order == order]
 
+    def factorizations(self) -> list[tuple[int, int]]:
+        """Position pairs i <= j of the subgroups A, B with G = AB, that is
+        |A||B| = |G||A n B|, in ascending order."""
+        subs, n = self.subgroups, self.group.order
+        return [(i, j) for i, a in enumerate(subs) for j in range(i, len(subs))
+                if a.order * subs[j].order == n * (a.bits & subs[j].bits).bit_count()]
+
 
 def all_subgroups(g: FiniteGroup,
                   order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
@@ -240,27 +247,18 @@ def normal_subgroups(g: FiniteGroup,
                      order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> list[Subgroup]:
     """All normal subgroups of g, sorted by (order, bits).
 
-    Computed as the join closure of the normal closures of cyclic subgroups;
-    every normal subgroup is a join of such closures, and the join of two
-    normal subgroups is their product.
+    Computed as the join closure of the normal closures of cyclic subgroups,
+    adding one closure at a time; every normal subgroup is a join of such
+    closures, and the join of two normal subgroups is their product.
     """
     if g.order > order_cap:
         raise LatticeExceedsCap(f"{g.name}: order {g.order} exceeds lattice cap {order_cap}")
     cached = g._memo.get("normal_subgroups")
     if cached is not None:
         return cached
-    atoms = _normal_atoms(g)
     known = {1}
-    work = [1]
-    while work:
-        cur = work.pop()
-        for a in atoms:
-            if a & cur == a:
-                continue
-            j = product_bits(g, cur, a)
-            if j not in known:
-                known.add(j)
-                work.append(j)
+    for a in _normal_atoms(g):  # the joins of the atoms so far, with a
+        known |= {product_bits(g, n, a) for n in known if a & n != a}
     subs = [Subgroup(g, b) for b in sorted(known, key=lambda b: (b.bit_count(), b))]
     g._memo["normal_subgroups"] = subs
     return subs
@@ -282,16 +280,20 @@ class ChiefFactor:
 
     lower: Subgroup
     upper: Subgroup
-    order: int
-    primes: tuple[int, ...]
+
+    @property
+    def order(self) -> int:
+        return self.upper.order // self.lower.order
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return prime_divisors(self.order)
 
     @property
     def prime(self) -> Optional[int]:
-        return self.primes[0] if len(self.primes) == 1 and self.order == p_part(self.order, self.primes[0]) else None
-
-    @property
-    def is_prime_power(self) -> bool:
-        return len(self.primes) == 1
+        """The prime p when the factor is a p-group, else None."""
+        primes = self.primes
+        return primes[0] if len(primes) == 1 else None
 
 
 @dataclass
@@ -320,9 +322,7 @@ def chief_series(g: FiniteGroup, reverse: bool = False) -> ChiefSeries:
         chosen = mins[-1] if reverse else mins[0]
         nxt_bits = q.preimage_bits(chosen.bits)
         nxt = Subgroup(g, nxt_bits)
-        forder = nxt.order // cur.order
-        factors.append(ChiefFactor(lower=cur, upper=nxt, order=forder,
-                                   primes=prime_divisors(forder)))
+        factors.append(ChiefFactor(lower=cur, upper=nxt))
         terms.append(nxt)
         cur = nxt
     series = ChiefSeries(terms=terms, factors=factors)

@@ -14,10 +14,9 @@ from typing import Optional
 
 from .arith import p_part, prime_divisors
 from .errors import NotNormalized
-from .groups import (FiniteGroup, QuotientGroup, Subgroup, as_group,
-                     centralizer, conjugate_bits, derived_bits,
-                     map_bits_to_sub, normal_closure_bits, p_element_bits,
-                     quotient)
+from .groups import (FiniteGroup, QuotientGroup, Subgroup, centralizer,
+                     conjugate_bits, derived_bits, normal_closure_bits,
+                     p_element_bits, quotient, subquotient)
 from .lattice import all_subgroups, chief_series, fitting, normal_subgroups
 
 DispersiveOrdering = tuple[int, ...]
@@ -198,10 +197,7 @@ def induced_action(h: Subgroup, p_sub: Subgroup) -> QuotientGroup:
     for x in h.gens:
         if conjugate_bits(g, p_sub.bits, x) != p_sub.bits:
             raise NotNormalized(f"subgroup does not normalize the target in {g.name}")
-    cent = centralizer(g, p_sub.gens)
-    hgrp = as_group(h)
-    ker_bits = map_bits_to_sub(h, cent.bits & h.bits)
-    return quotient(hgrp, Subgroup(hgrp, ker_bits))
+    return subquotient(h, centralizer(g, p_sub.gens).bits & h.bits)
 
 
 def is_subnormal(g: FiniteGroup, h: Subgroup) -> bool:

@@ -1,6 +1,4 @@
-"""Verifiers for the classification theorems and the supporting lemma suite,
-plus the corpus harness that runs them over many groups and reports
-counterexample witnesses.
+"""Verifiers for the classification theorems and the supporting lemma suite.
 
 Every verifier produces a TheoremReport with an explicit hypotheses_met flag,
 so vacuous passes stay visible in the aggregates. A report with
@@ -27,7 +25,7 @@ from .formation import (Formation, SOLUBLE, SUPERSOLUBLE,
 from .groups import (FiniteGroup, Subgroup, as_group, center, centralizer,
                      conjugate_bits, conjugates, derived_bits, is_normal,
                      map_bits_from_sub, map_bits_to_sub, normalizer,
-                     p_element_bits, product_bits, quotient)
+                     p_element_bits, product_bits, quotient, subquotient)
 from .lattice import (ChiefFactor, all_subgroups, fitting, frattini, hall,
                       minimal_normal_subgroups, normal_subgroups,
                       sylow_conjugates)
@@ -84,6 +82,12 @@ def all_n_maximal_f_subnormal(g: FiniteGroup, n: int, f: Formation) -> tuple[boo
     return (not bad, bad)
 
 
+def _f_subnormal_in(k: Subgroup, bits: int, f: Formation) -> bool:
+    """Whether the subgroup of k with these bits (in k's parent) is
+    F-subnormal in k."""
+    return map_bits_to_sub(k, bits) in f_subnormal_bits(all_subgroups(as_group(k)), f)
+
+
 def _require(f: Formation, **flags) -> None:
     """Check metadata flags; unknown (None) disables the verifier."""
     for attr, wanted in flags.items():
@@ -92,6 +96,31 @@ def _require(f: Formation, **flags) -> None:
             raise InvalidParams(f"{f.name}: flag {attr} unknown; verifier disabled")
         if bool(got) != wanted:
             raise InvalidParams(f"{f.name}: flag {attr}={got} contradicts requirement {wanted}")
+
+
+# ---------------------------------------------------------------------------
+# Frattini sections
+
+
+def _frattini_bits(h: Subgroup) -> int:
+    """Phi(H), as a bitmask in h's parent."""
+    return map_bits_from_sub(h, frattini(as_group(h)).bits)
+
+
+def _special(agrp: FiniteGroup) -> bool:
+    """Z(A) = A' = Phi(A)."""
+    return center(agrp).bits == derived_bits(agrp, agrp.full_bits()) == frattini(agrp).bits
+
+
+def _frattini_factor(g: FiniteGroup, a: Subgroup) -> Optional[ChiefFactor]:
+    """A/Phi(A) for a normal subgroup A of g, as a chief factor of g; None
+    when it is not one (a normal subgroup of g lies strictly between, or A
+    is trivial). Phi(A) is characteristic in A, hence normal in g."""
+    phi = _frattini_bits(a)
+    if phi == a.bits or any(phi & n.bits == phi and n.bits & a.bits == n.bits
+                            and n.bits not in (phi, a.bits) for n in normal_subgroups(g)):
+        return None
+    return ChiefFactor(lower=Subgroup(g, phi), upper=a)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +153,10 @@ class ClassificationOutcome:
         }
 
 
-def classify_type(g: FiniteGroup, n: int, f: Formation,
-                  conjugate_samples: int = 2) -> ClassificationOutcome:
+_CONJUGATE_SAMPLES = 2  # conjugate Sylow subgroups re-checked per II(2) pass
+
+
+def classify_type(g: FiniteGroup, n: int, f: Formation) -> ClassificationOutcome:
     """Type the group against the two shapes of the classification theorem.
 
     Type I means G in F. Type II requires: A = G^F and a complement B are
@@ -159,7 +190,7 @@ def classify_type(g: FiniteGroup, n: int, f: Formation,
     shape = _residual_shape(g, a, f, failures, notes)
     # II(2) presupposes a nilpotent residual; its p-elements form no subgroup otherwise
     if subgroup_is_nilpotent(a):
-        ii2 = _ii2_checks(g, a, n, f, failures, notes, conjugate_samples)
+        ii2 = _ii2_checks(g, a, n, f, failures, notes)
     else:
         ii2 = ()
 
@@ -194,33 +225,20 @@ def _residual_shape(g, a, f, failures, notes) -> Optional[str]:
     if agrp.exponent != p:
         failures.append(f"residual Sylow {p}-subgroup has exponent {agrp.exponent} != {p}")
         return None
-    zc = center(agrp).bits
-    dc = derived_bits(agrp, agrp.full_bits())
-    fr = frattini(agrp).bits
-    if not (zc == dc == fr):
+    if not _special(agrp):
         failures.append("derived subgroup, Frattini subgroup and center of the residual differ")
         return None
-    phi_bits_in_g = map_bits_from_sub(a, fr)
-    norm_orders = {s.bits: s for s in normal_subgroups(g)}
-    if phi_bits_in_g not in norm_orders:
-        failures.append("Frattini subgroup of the residual is not normal in the group")
-        return None
-    strictly_between = [s for s in norm_orders.values()
-                        if phi_bits_in_g & s.bits == phi_bits_in_g
-                        and s.bits & a.bits == s.bits
-                        and s.bits not in (phi_bits_in_g, a.bits)]
-    if strictly_between:
+    factor = _frattini_factor(g, a)
+    if factor is None:
         failures.append("residual/Frattini is not a chief factor")
         return None
-    factor = ChiefFactor(lower=Subgroup(g, phi_bits_in_g), upper=a,
-                         order=a.order // phi_bits_in_g.bit_count(), primes=(p,))
     if is_f_central(g, factor, f):
         failures.append("top factor of the residual is F-central, not eccentric")
         return None
     return "special_sylow_p"
 
 
-def _ii2_checks(g, a, n, f, failures, notes, conjugate_samples) -> list[str]:
+def _ii2_checks(g, a, n, f, failures, notes) -> list[str]:
     """Condition II(2): each n-maximal H lies in F and induces on every Sylow
     p-subgroup of A (inside A*H, which fixes the same quotient H/C_H(P)) an
     automorphism group in F(p)."""
@@ -242,10 +260,9 @@ def _ii2_checks(g, a, n, f, failures, notes, conjugate_samples) -> list[str]:
                     f"{p}-subgroup of the residual falls outside F({p})")
             else:
                 # sample conjugate Sylow subgroups; report (not fail) any discrepancy
-                conjs = sylow_conjugates(as_group(a), p) if not a.is_full else []
-                pool = [c for c in conjs]
+                pool = sylow_conjugates(as_group(a), p) if not a.is_full else []
                 rng.shuffle(pool)
-                for c in pool[:conjugate_samples]:
+                for c in pool[:_CONJUGATE_SAMPLES]:
                     cbits = map_bits_from_sub(a, c.bits)
                     if cbits == pbits:
                         continue
@@ -422,14 +439,10 @@ def _lemma_2_1_1(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
     concl = None
     witness = None
     if hyp:
-        k = Subgroup(g, k_bits)
-        inter = h_bits & k_bits
-        kgrp = as_group(k)
-        local = map_bits_to_sub(k, inter)
-        concl = local in f_subnormal_bits(all_subgroups(kgrp), f)
+        concl = _f_subnormal_in(Subgroup(g, k_bits), h_bits & k_bits, f)
         if not concl:
-            witness = (f"H of order {h_bits.bit_count()} meets K of order {k.order} in a "
-                       f"subgroup not {f.name}-subnormal in K")
+            witness = (f"H of order {h_bits.bit_count()} meets K of order "
+                       f"{k_bits.bit_count()} in a subgroup not {f.name}-subnormal in K")
     return _report("lemma-2.1.1", g, params, hyp, concl, witness)
 
 
@@ -452,11 +465,8 @@ def _lemma_2_1_2(g, f: Formation, h_bits: int, n_bits: int) -> TheoremReport:
 def _lemma_2_1_3(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
     lat = all_subgroups(g)
     params = {"formation": f.name, "h_order": h_bits.bit_count(), "k_order": k_bits.bit_count()}
-    h = Subgroup(g, h_bits)
-    hgrp = as_group(h)
-    local_k = map_bits_to_sub(h, k_bits)
     hyp = (h_bits in f_subnormal_bits(lat, f)
-           and local_k in f_subnormal_bits(all_subgroups(hgrp), f))
+           and _f_subnormal_in(Subgroup(g, h_bits), k_bits, f))
     concl = None
     witness = None
     if hyp:
@@ -540,27 +550,17 @@ def _lemma_2_4(g, f: Formation) -> TheoremReport:
         else:
             p = primes[0]
             agrp = as_group(res)
-            phi_local = frattini(agrp).bits
-            phi_g = map_bits_from_sub(res, phi_local)
-            norm_bits = {s.bits for s in normal_subgroups(g)}
-            between = [b for b in norm_bits
-                       if phi_g & b == phi_g and b & res.bits == b and b not in (phi_g, res.bits)]
-            if phi_g not in norm_bits or between:
+            factor = _frattini_factor(g, res)
+            if factor is None:
                 problems.append("residual/Frattini(residual) is not a chief factor")
-            else:
-                factor = ChiefFactor(lower=Subgroup(g, phi_g), upper=res,
-                                     order=res.order // phi_g.bit_count(), primes=(p,))
-                if is_f_central(g, factor, f):
-                    problems.append("residual top factor is F-central, should be eccentric")
+            elif is_f_central(g, factor, f):
+                problems.append("residual top factor is F-central, should be eccentric")
             if not subgroup_is_abelian(res):
-                zc = center(agrp).bits
-                dc = derived_bits(agrp, agrp.full_bits())
-                fr = frattini(agrp).bits
-                if not (zc == dc == fr):
+                if not _special(agrp):
                     problems.append("center, derived and Frattini subgroups of the residual differ")
                 else:
-                    common = Subgroup(agrp, zc)
-                    if zc != 1 and as_group(common).exponent != p:
+                    common = center(agrp)
+                    if not common.is_trivial and as_group(common).exponent != p:
                         problems.append("coinciding subgroup is not of exponent p")
             else:
                 if agrp.exponent != p:
@@ -598,12 +598,8 @@ def _lemma_2_5(g, f: Formation) -> TheoremReport:
                 continue
             if product_bits(g, gp.bits, phi.bits) != fit.bits:
                 problems.append("F(G) != Gp * Phi(G)")
-            agrp = as_group(gp)
-            phi_p = map_bits_from_sub(gp, frattini(agrp).bits)
             cfac = factor_centralizer_bits(
-                g, ChiefFactor(lower=Subgroup(g, phi_p), upper=gp,
-                               order=gp.order // phi_p.bit_count(),
-                               primes=prime_divisors(gp.order // phi_p.bit_count())))
+                g, ChiefFactor(lower=Subgroup(g, _frattini_bits(gp)), upper=gp))
             comp_order = g.order // gp.order
             lat = all_subgroups(g)
             comps = [s for s in lat.subgroups
@@ -647,10 +643,7 @@ def _lemma_2_6(g) -> TheoremReport:
         phi = frattini(g)
         for s in lat.subgroups:
             if s.order == comp_order and s.bits & res.bits == 1:
-                sgrp = as_group(s)
-                inter = s.bits & phi.bits
-                local = map_bits_to_sub(s, inter)
-                q = quotient(sgrp, Subgroup(sgrp, local)).base
+                q = subquotient(s, s.bits & phi.bits).base
                 prim_cyclic = (len(prime_divisors(q.order)) <= 1
                                and max(q.element_orders()) == q.order)
                 if not (prim_cyclic or is_miller_moreno(q)):
@@ -749,12 +742,7 @@ def _lemma_2_14(g, f: Formation, e_bits: int) -> TheoremReport:
     concl = None
     witness = None
     if hyp:
-        phi = frattini(g)
-        egrp = as_group(e)
-        inter = e.bits & phi.bits
-        local = map_bits_to_sub(e, inter)
-        quot = quotient(egrp, Subgroup(egrp, local)).base
-        hyp = member(f, quot)
+        hyp = member(f, subquotient(e, e.bits & frattini(g).bits).base)
         if hyp:
             concl = subgroup_member(f, e)
             if not concl:
@@ -777,9 +765,7 @@ def _lemma_2_15(g, f: Formation, h_bits: int, m_bits: int) -> TheoremReport:
     witness = None
     if hyp:
         m = Subgroup(g, m_bits)
-        mgrp = as_group(m)
-        local_h = map_bits_to_sub(m, h_bits)
-        hyp = local_h in f_subnormal_bits(all_subgroups(mgrp), f)
+        hyp = _f_subnormal_in(m, h_bits, f)
         if hyp:
             concl = subgroup_member(f, m)
             if not concl:
@@ -792,16 +778,11 @@ def _prop_3_1(g, use_derived: bool = True, check_id: str = "lemma-3.1") -> Theor
     pairwise coprime normalizer indices force solubility."""
     params = {"mode": "derived" if use_derived else "plain"}
     lat = all_subgroups(g)
-    full = g.full_bits()
     subs = lat.subgroups
     pairs: dict[int, set[int]] = {}
-    for i, a in enumerate(subs):
-        for j in range(i, len(subs)):
-            b = subs[j]
-            if a.order * b.order % (a.bits & b.bits).bit_count() == 0 and \
-               a.order * b.order // (a.bits & b.bits).bit_count() == g.order:
-                pairs.setdefault(i, set()).add(j)
-                pairs.setdefault(j, set()).add(i)
+    for i, j in lat.factorizations():
+        pairs.setdefault(i, set()).add(j)
+        pairs.setdefault(j, set()).add(i)
     soluble_idx = {i for i, s in enumerate(subs) if subgroup_is_soluble(s)}
     hyp = False
     concl = None
@@ -916,7 +897,7 @@ _LEMMAS: dict[str, LemmaChecker] = {
     "2.3": _lemma_2_3,
     "2.4": _lemma_2_4,
     "2.5": _lemma_2_5,
-    "2.6": lambda g, **kw: _lemma_2_6(g),
+    "2.6": _lemma_2_6,
     "2.7": _lemma_2_7,
     "2.9": _lemma_2_9,
     "2.10": _lemma_2_10,
@@ -925,7 +906,7 @@ _LEMMAS: dict[str, LemmaChecker] = {
     "2.15": _lemma_2_15,
     "3.1": lambda g, **kw: _prop_3_1(g, use_derived=True),
     "3.2": lambda g, **kw: _prop_3_1(g, use_derived=False, check_id="lemma-3.2"),
-    "3.3": lambda g, **kw: _cor_3_3(g),
+    "3.3": _cor_3_3,
     "3.4": _prop_3_4,
     "3.5": lambda g, f=None, **kw: _sigma_corollary("lemma-3.5", f or soluble_length_formation(2), 4)(g),
     "3.6": lambda g, r=2, **kw: _sigma_corollary("lemma-3.6", soluble_length_formation(r), r + 2)(g),

@@ -157,3 +157,72 @@ def test_violation_exit_code(capsys, monkeypatch):
                        "--group", "S3", "--format", "json")
     assert code == 1
     assert "synthetic counterexample" in out
+
+
+def test_verify_corpus_names_groups_by_entry(tmp_path, capsys):
+    corpus = tmp_path / "c.json"
+    write_corpus([CorpusEntry("sym4", "S4", ()), CorpusEntry("frob", "Frob21", ())], corpus)
+    code, out, _ = run(capsys, "verify", "--theorem", "C", "--formation", "U",
+                       "--corpus", str(corpus), "--format", "json")
+    assert code == 0
+    assert [r["group"] for r in json.loads(out)["reports"]] == ["sym4", "frob"]
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    dest = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, "lattice", "--group", "S3", "--output", str(dest))
+    assert code == 2
+    assert err.startswith("error: ") and "x.json" in err
+
+
+def test_cache_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "c.json"
+    write_corpus([CorpusEntry("S3", "S3", ())], corpus)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, _, err = run(capsys, "corpus", "--path", str(corpus), "--suite", "smoke",
+                       "--cache-dir", str(blocker))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_check_that_raises_is_an_error_row(tmp_path, capsys, monkeypatch):
+    """A check that raises on one group gives exit 3 and one error row in
+    place of that group's rows of the check; every other row is unchanged."""
+    import formations.harness as harness
+
+    corpus = tmp_path / "c.json"
+    write_corpus([CorpusEntry("S4", "S4", ("soluble",)),
+                  CorpusEntry("Frob21", "Frob21", ("soluble",))], corpus)
+    argv = ("corpus", "--path", str(corpus), "--suite", "smoke", "--detail",
+            "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    clean = json.loads(out)
+    assert not any("errors" in c for c in clean["checks"])
+
+    real = harness.verify_theorem
+
+    def raising(tid, g, **kw):
+        if g.name == "S4":
+            raise ZeroDivisionError("division by zero")
+        return real(tid, g, **kw)
+
+    monkeypatch.setattr(harness, "verify_theorem", raising)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "errors"
+    error_row = {"check": "theorem-C", "suite_check": "theorem-C", "group": "S4",
+                 "error": "ZeroDivisionError: division by zero"}
+    assert [r for r in doc["results"] if "error" in r] == [error_row]
+    lost = [r for r in clean["results"] if r["group"] == "S4" and r["check"] == "theorem-C"]
+    assert len(lost) == 2
+    assert [r for r in doc["results"] if "error" not in r] == \
+        [r for r in clean["results"] if r not in lost]
+    by_id = {c["id"]: c for c in doc["checks"]}
+    assert by_id["theorem-C"]["errors"] == [{"group": "S4", "error": error_row["error"]}]
+    assert by_id["theorem-C"]["instances"] == 2 and by_id["theorem-C"]["skips"] == []
+    assert "errors" not in by_id["satellite-crosscheck"]
+    assert by_id["satellite-crosscheck"] == \
+        next(c for c in clean["checks"] if c["id"] == "satellite-crosscheck")

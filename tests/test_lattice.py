@@ -97,6 +97,19 @@ def test_normal_subgroups(groups):
     assert [s.order for s in normal_subgroups(a5)] == [1, 60]
 
 
+@PROPERTY
+@given(perm_groups())
+def test_factorizations_match_brute_force(g):
+    """The position pairs i <= j whose product set is the whole group."""
+    assume(g.order <= 24)
+    table = table_of(g)
+    lat = all_subgroups(g)
+    subs = [s.members for s in lat.subgroups]
+    expected = [(i, j) for i in range(len(subs)) for j in range(i, len(subs))
+                if len({table[a][b] for a in subs[i] for b in subs[j]}) == g.order]
+    assert lat.factorizations() == expected
+
+
 def test_minimal_normal_subgroups(groups):
     assert [s.order for s in minimal_normal_subgroups(groups["A4"])] == [4]
     assert [s.order for s in minimal_normal_subgroups(groups["S3"])] == [3]

@@ -2,11 +2,12 @@ import pytest
 
 from formations.dsl import parse_group
 from formations.errors import InvalidParams
-from formations.formation import BUILTINS
+from formations.formation import BUILTINS, is_f_central
 from formations.groups import is_normal
-from formations.lattice import all_subgroups
+from formations.lattice import all_subgroups, normal_subgroups
 from formations.structure import profile
-from formations.theorems import (all_n_maximal_f_subnormal, classify_type,
+from formations.theorems import (_frattini_factor, _special,
+                                 all_n_maximal_f_subnormal, classify_type,
                                  verify_lemma, verify_theorem)
 
 N, U, S, N2 = BUILTINS["N"], BUILTINS["U"], BUILTINS["S"], BUILTINS["N^2"]
@@ -43,6 +44,27 @@ def test_classify_neither(groups):
     out = classify_type(groups["S4"], 1, U)
     assert out.kind == "neither"
     assert any("Hall" in fail for fail in out.failures)
+
+
+def test_frattini_factor_s4(groups):
+    """V4/Phi(V4) = V4 is a chief factor of S4, and an N-eccentric one
+    (S4/C(V4) = S3 is no 2-group); Phi(A4) = 1 and V4 lies between, so
+    A4/Phi(A4) is not a chief factor."""
+    s4 = groups["S4"]
+    normal = {s.order: s for s in normal_subgroups(s4)}
+    factor = _frattini_factor(s4, normal[4])
+    assert factor is not None
+    assert factor.lower.is_trivial and factor.upper == normal[4]
+    assert factor.order == 4 and factor.primes == (2,) and factor.prime == 2
+    assert not is_f_central(s4, factor, N)
+    assert _frattini_factor(s4, normal[12]) is None
+    assert _frattini_factor(s4, normal[1]) is None
+
+
+def test_special(groups):
+    """Z(A) = A' = Phi(A): Q8 and D8 are special, C4, V4 and S3 are not."""
+    assert _special(groups["Q8"]) and _special(groups["D8"])
+    assert not any(_special(parse_group(name)) for name in ("C4", "V4", "S3"))
 
 
 def test_theorem_a(groups):
