@@ -3,8 +3,9 @@
 
 Two workloads: raw closure calls on random seeds, and full subgroup-lattice
 enumeration (the production hot path). Each timing uses a freshly built
-group, so no memo or cached multiplication row carries over. Run from a
-source tree:
+group, so no memo or cached multiplication row carries over. Each lattice
+also reports its Dimino steps, the calls to `FiniteGroup.extend`, counted by
+a wrapper installed here. Run from a source tree:
 
     PYTHONPATH=src python benchmarks/bench_closure.py [--big]
 
@@ -16,7 +17,20 @@ import random
 import time
 
 from formations.dsl import parse_group
+from formations.groups import FiniteGroup
 from formations.lattice import all_subgroups
+
+STEPS = [0]
+
+
+def _counted(extend):
+    def wrapper(self, *args):
+        STEPS[0] += 1
+        return extend(self, *args)
+    return wrapper
+
+
+FiniteGroup.extend = _counted(FiniteGroup.extend)
 
 
 def time_raw_closures(name, rounds=2000, seed=1):
@@ -32,9 +46,10 @@ def time_raw_closures(name, rounds=2000, seed=1):
 
 def time_lattice(name):
     g = parse_group(name)
+    STEPS[0] = 0
     t0 = time.perf_counter()
     lat = all_subgroups(g)
-    return time.perf_counter() - t0, len(lat.subgroups)
+    return time.perf_counter() - t0, len(lat.subgroups), STEPS[0]
 
 
 def main():
@@ -47,8 +62,8 @@ def main():
     names = ["S4", "SL23", "A5", "S5", "A6"] + (["S6"] if args.big else [])
     print("\nfull lattice enumeration:")
     for name in names:
-        elapsed, nsubs = time_lattice(name)
-        print(f"  {name:>5} ({nsubs:>4} subgroups): {elapsed:7.3f}s")
+        elapsed, nsubs, steps = time_lattice(name)
+        print(f"  {name:>5} ({nsubs:>4} subgroups): {elapsed:7.3f}s, {steps:>5} Dimino steps")
 
 
 if __name__ == "__main__":

@@ -3,16 +3,31 @@
 The full lattice comes from cyclic extension up to conjugacy (Neubueser,
 Numer. Math. 2, 1960; Holt, Eick & O'Brien, Handbook of Computational Group
 Theory, 2005). Every subgroup is generated by its elements of prime-power
-order, so the seeds are the cyclic subgroups of prime-power order, and a
-subgroup K = <H, x> with H < K and x of prime-power order is conjugate to
-<R, x'> for the class representative R of H's class. So only one
-representative per conjugacy class is kept with its element list, and it is
-extended by one Dimino step (`FiniteGroup.extend`) by one generator of each
-prime-power cyclic subgroup outside it. A new subgroup brings in its whole
+order, so the seeds are the cyclic subgroups of prime-power order (the
+extenders C_j), and a subgroup K = <H, x> with H < K and x of prime-power
+order is conjugate to <R, x'> for the class representative R of H's class.
+So only one representative per conjugacy class is kept with its element
+list, and it is extended by one Dimino step (`FiniteGroup.extend`) by a
+generator of an extender outside it. A new subgroup brings in its whole
 class: the orbit of its element list under conjugation by the group's
 generators, with its recorded generators mapped along. The covers of each
 representative come from a containment scan and are conjugated along the
 same orbit to the rest of its class.
+
+Two prunings drop the steps whose result the walk already knows:
+
+* For h in H, <H, C_j^h> = <H, C_j>^h = <H, C_j>, so H is extended by one
+  extender per orbit under conjugation by H's generators, the first in
+  extender order.
+* If <C, C_j> = G for a cyclic C <= H, then <H, C_j> = G. The sets
+  `full_with[k]` of the j with <C_k, C_j> = G are read off while the
+  seeds are extended (seeds come first) and carried to their conjugates;
+  every later representative skips the extenders they name.
+
+A skipped step could only give G, which the seed step that filled
+`full_with` already found, or the subgroup that the orbit's first member
+gave. So the walk adds the same classes, in the same order, with the same
+recorded generators as extending every representative by every extender.
 
 Everything that only needs *normal* subgroups (chief series, Fitting, O_p
 cores) is computed directly from the closures of conjugacy classes instead,
@@ -128,17 +143,23 @@ def all_subgroups(g: FiniteGroup,
         bits = g.closure_bits([x])
         if bits not in walk.found and len(prime_divisors(bits.bit_count())) == 1:
             walk.add_class(indices_of(bits), bits, (x,))
-    extenders = [gens[0] for bits, gens in walk.found.items() if bits != 1]
+    ext = _Extenders(g, [gens[0] for bits, gens in walk.found.items() if bits != 1])
+    seeds, full = len(walk.reps), g.full_bits()
 
-    # extend each class representative by every cyclic subgroup outside it
-    for hbits, helems, hgens in walk.reps:
+    # extend each class representative H by one C_j per H-orbit outside it
+    for r, (hbits, helems, hgens) in enumerate(walk.reps):  # grows while read
         if hbits == 1:
             continue
+        if r == seeds:  # every seed is extended
+            ext.carry(walk, seeds)
+        done = ext.within(helems)
+        if r >= seeds:
+            done = done.union(*[ext.full_with[k] for k in done])
         hrows = [g.right_row(x) for x in hgens]
-        for x in extenders:
-            if (hbits >> x) & 1:
-                continue
-            kelems, kbits = g.extend(helems, hrows, x)
+        for orbit in ext.orbits(hgens, done):
+            kelems, kbits = g.extend(helems, hrows, ext.gens[orbit[0]])
+            if kbits == full and r < seeds:
+                ext.full_with[ext.index[hgens[0]]].update(orbit)
             if kbits not in walk.found:
                 walk.add_class(kelems, kbits, generating_set(g, kelems, kbits))
 
@@ -210,6 +231,66 @@ class _ClassWalk:
                 images.append(mapped)
                 out[index_of[bits]] = sorted(index_of[self._bits(e)] for e in mapped)
         return out
+
+
+class _Extenders:
+    """The extenders: the prime-power cyclic subgroups C_0, C_1, ... in the
+    order the walk found them, each by its recorded generator (`gens`).
+
+    `index` maps each element of prime-power order > 1 to the j of the C_j
+    it generates (-1 for the other elements), so conjugation by t maps C_j
+    to C_index[gens[j]^t]. `full_with[k]` is the set of the j with
+    <C_k, C_j> = G, filled while the seeds are extended and carried to
+    their conjugates by `carry`.
+    """
+
+    def __init__(self, g: FiniteGroup, gens: list[int]):
+        self.g = g
+        self.gens = gens
+        self.index = [-1] * g.order
+        orders = g.element_orders()
+        for j, x in enumerate(gens):
+            p = prime_divisors(orders[x])[0]
+            row, y = g.right_row(x), x
+            for e in range(1, orders[x]):  # y = x^e
+                if e % p:
+                    self.index[y] = j
+                y = row[y]
+        self.full_with: list[set[int]] = [set() for _ in gens]
+
+    def within(self, helems: list[int]) -> set[int]:
+        """The j with C_j <= H, H given by its elements."""
+        inside = set(map(self.index.__getitem__, helems))
+        inside.discard(-1)
+        return inside
+
+    def orbits(self, hgens: tuple[int, ...], done: set[int]) -> Iterator[list[int]]:
+        """Each orbit of the C_j outside `done` under conjugation by hgens,
+        first member first, by first member. `done` is used up."""
+        gens, index = self.gens, self.index
+        conj = list(map(self.g.conjugation_row, hgens))
+        for j in range(len(gens)):
+            if j in done:
+                continue
+            done.add(j)
+            orbit = [j]
+            for i in orbit:  # grows while read
+                for row in conj:
+                    k = index[row[gens[i]]]
+                    if k not in done:
+                        done.add(k)
+                        orbit.append(k)
+            yield orbit
+
+    def carry(self, walk: "_ClassWalk", seeds: int) -> None:
+        """Fill full_with along the seeds' class orbits: for a generator s
+        of G, <C^s, D^s> = <C, D>^s = G."""
+        gens, index = self.gens, self.index
+        for orbit in walk.orbits[1:seeds]:
+            ks = [index[walk.found[bits][0]] for bits, _, _ in orbit]
+            for k, (_, parent, a) in zip(ks[1:], orbit[1:]):
+                act = walk.actions[a]
+                self.full_with[k] = {index[act[gens[i]]] for i in self.full_with[ks[parent]]}
 
 
 def _covers(subs: list[Subgroup], i: int) -> list[int]:
