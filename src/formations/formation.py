@@ -318,25 +318,25 @@ def local_membership(g: FiniteGroup, f: Formation) -> bool:
 def f_hypercentre(g: FiniteGroup, f: Formation) -> Subgroup:
     """Largest normal subgroup whose G-chief factors below it are F-central,
     built by absorbing F-central minimal normal subgroups of successive
-    quotients."""
+    quotients. Memoized per formation."""
     if not f.has_satellite:
         raise NoSatellite(f"{f.name} has no canonical satellite table")
-    zbits = 1
-    while True:
-        z = Subgroup(g, zbits)
-        if z.order == g.order:
-            return z
+    key = ("f_hypercentre", f.key)
+    hit = g._memo.get(key)
+    if hit is not None:
+        return hit
+    z = g.trivial_subgroup()
+    while z.order < g.order:
         q = quotient(g, z)
-        advanced = False
         for mn in minimal_normal_subgroups(q.base):
-            upper_bits = q.preimage_bits(mn.bits)
-            factor = ChiefFactor(lower=z, upper=Subgroup(g, upper_bits))
-            if is_f_central(g, factor, f):
-                zbits = upper_bits
-                advanced = True
+            upper = Subgroup(g, q.preimage_bits(mn.bits))
+            if is_f_central(g, ChiefFactor(lower=z, upper=upper), f):
+                z = upper
                 break
-        if not advanced:
-            return z
+        else:
+            break
+    g._memo[key] = z
+    return z
 
 
 # ---------------------------------------------------------------------------
