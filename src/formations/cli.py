@@ -2,9 +2,10 @@
 
 Exit codes: 0 = all checks passed (or pure analysis succeeded); 1 = at least
 one verification had its hypotheses met and its conclusion fail (a witness is
-printed); 2 = usage, parse, cap or file errors; 3 = a corpus check raised an
-unexpected exception (its rows are replaced by an error row, the other checks
-still run).
+printed); 2 = usage, parse, cap or file errors; 3 = a check raised an
+unexpected exception on some group (`corpus` puts an error row in place of its
+rows, `verify` an error report in place of that group's reports; the other
+checks and groups still run).
 """
 
 from __future__ import annotations
@@ -136,8 +137,6 @@ def cmd_verify(args) -> int:
         print("verify needs exactly one of --theorem or --lemma", file=sys.stderr)
         return EXIT_USAGE
     f = _formation_arg(args.formation) if args.formation else None
-
-    reports = []
     if args.corpus:
         groups = [parse_group(e.spec, name=e.name, cap=args.order_cap)
                   for e in load_corpus(args.corpus)]
@@ -147,24 +146,32 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
         groups = [parse_group(args.group, cap=args.order_cap)]
 
+    check_id = f"theorem-{args.theorem}" if args.theorem else f"lemma-{args.lemma}"
+    docs, violations, errors = [], False, False
     for g in groups:
-        if args.theorem:
-            rep = verify_theorem(args.theorem, g, n=args.n, r=args.r, f=f)
-        else:
-            for rep in _lemma_reports(args.lemma, g, f, args.n):
-                reports.append(rep)
+        try:
+            if args.theorem:
+                reports = [verify_theorem(args.theorem, g, n=args.n, r=args.r, f=f)]
+            else:
+                reports = _lemma_reports(args.lemma, g, f, args.n)
+        except FormationsError:
+            raise
+        except Exception as exc:
+            docs.append({"check": check_id, "group": g.name,
+                         "error": f"{type(exc).__name__}: {exc}"})
+            errors = True
             continue
-        reports.append(rep)
+        docs.extend(r.to_json() for r in reports)
+        violations |= any(r.is_violation for r in reports)
 
     doc = {
         "command": "verify",
         "target": args.theorem or args.lemma,
-        "reports": [r.to_json() for r in reports],
+        "reports": docs,
+        "status": "errors" if errors else "violations" if violations else "ok",
     }
-    violations = [r for r in reports if r.is_violation]
-    doc["status"] = "violations" if violations else "ok"
     _emit(doc, args)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return EXIT_ERROR if errors else EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _lemma_reports(lemma_id, g, f, n):

@@ -184,13 +184,25 @@ def _build_entry(entry: CorpusEntry, cfg: RunConfig) -> FiniteGroup:
 
 def run_entry_checks(entry: CorpusEntry, checks: Sequence[CheckSpec],
                      cfg: RunConfig) -> list[dict]:
-    """All check results for one corpus entry (deterministic order)."""
+    """All check results for one corpus entry (deterministic order). An
+    exception outside the checks (the group's profile or its lattice cache)
+    becomes one error row per check, and the run goes on; a file error
+    (`OSError`, say an unusable cache directory) still ends the run."""
     try:
         g = _build_entry(entry, cfg)
     except FormationsError as exc:
         return [{"check": c.check_id, "suite_check": c.check_id,
                  "group": entry.name, "skip": f"build failed: {exc}"}
                 for c in checks]
+    try:
+        return _entry_rows(g, checks, cfg)
+    except OSError:
+        raise
+    except Exception as exc:
+        return [_error(c.check_id, entry.name, exc) for c in checks]
+
+
+def _entry_rows(g: FiniteGroup, checks: Sequence[CheckSpec], cfg: RunConfig) -> list[dict]:
     loaded_from_cache = False
     if cfg.cache_dir:
         try:
@@ -218,14 +230,18 @@ def _skip(check_id, gname, reason) -> dict:
     return {"check": check_id, "suite_check": check_id, "group": gname, "skip": reason}
 
 
+def _error(check_id, gname, exc: Exception) -> dict:
+    return {"check": check_id, "suite_check": check_id, "group": gname,
+            "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _run_one_check(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
     """The rows of one check on one group. An exception inside the check
     becomes one error row in place of its rows, and the run goes on."""
     try:
         return _check_rows(g, prof, check, cfg)
     except Exception as exc:
-        return [{"check": check.check_id, "suite_check": check.check_id, "group": g.name,
-                 "error": f"{type(exc).__name__}: {exc}"}]
+        return [_error(check.check_id, g.name, exc)]
 
 
 def _check_rows(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:

@@ -226,3 +226,69 @@ def test_check_that_raises_is_an_error_row(tmp_path, capsys, monkeypatch):
     assert "errors" not in by_id["satellite-crosscheck"]
     assert by_id["satellite-crosscheck"] == \
         next(c for c in clean["checks"] if c["id"] == "satellite-crosscheck")
+
+
+def test_group_step_that_raises_is_an_error_row_per_check(tmp_path, capsys, monkeypatch):
+    """An exception outside the checks (here the group's profile) gives exit 3
+    and one error row per check for that group; the other group's rows are
+    unchanged."""
+    import formations.harness as harness
+
+    corpus = tmp_path / "c.json"
+    write_corpus([CorpusEntry("S4", "S4", ("soluble",)),
+                  CorpusEntry("Frob21", "Frob21", ("soluble",))], corpus)
+    argv = ("corpus", "--path", str(corpus), "--suite", "smoke", "--detail",
+            "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    clean = json.loads(out)
+
+    real = harness.profile
+
+    def raising(g):
+        if g.name == "S4":
+            raise ZeroDivisionError("division by zero")
+        return real(g)
+
+    monkeypatch.setattr(harness, "profile", raising)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "errors"
+    ids = [c["id"] for c in doc["checks"]]
+    assert sorted((r["check"], r["group"], r["error"]) for r in doc["results"] if "error" in r) == \
+        sorted((cid, "S4", "ZeroDivisionError: division by zero") for cid in ids)
+    assert [r for r in doc["results"] if "error" not in r] == \
+        [r for r in clean["results"] if r["group"] != "S4"]
+    assert all(c["errors"] == [{"group": "S4", "error": "ZeroDivisionError: division by zero"}]
+               for c in doc["checks"])
+
+
+def test_verify_group_that_raises_is_an_error_report(tmp_path, capsys, monkeypatch):
+    """verify over a corpus turns an exception on one group into an error
+    report for that group, keeps the other groups' reports and exits 3."""
+    import formations.cli as cli_mod
+
+    corpus = tmp_path / "c.json"
+    write_corpus([CorpusEntry("sym4", "S4", ()), CorpusEntry("frob", "Frob21", ())], corpus)
+    argv = ("verify", "--theorem", "C", "--formation", "U", "--corpus", str(corpus),
+            "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    clean = json.loads(out)
+
+    real = cli_mod.verify_theorem
+
+    def raising(tid, g, **kw):
+        if g.name == "sym4":
+            raise ZeroDivisionError("division by zero")
+        return real(tid, g, **kw)
+
+    monkeypatch.setattr(cli_mod, "verify_theorem", raising)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "errors"
+    assert doc["reports"] == [{"check": "theorem-C", "group": "sym4",
+                               "error": "ZeroDivisionError: division by zero"},
+                              clean["reports"][1]]
