@@ -185,24 +185,23 @@ def _build_entry(entry: CorpusEntry, cfg: RunConfig) -> FiniteGroup:
 def run_entry_checks(entry: CorpusEntry, checks: Sequence[CheckSpec],
                      cfg: RunConfig) -> list[dict]:
     """All check results for one corpus entry (deterministic order). An
-    exception outside the checks (the group's profile or its lattice cache)
-    becomes one error row per check, and the run goes on; a file error
-    (`OSError`, say an unusable cache directory) still ends the run."""
+    exception outside the checks (building the group, its profile, its
+    lattice cache) becomes one error row per check, and the run goes on; a
+    file error (`OSError`, say an unusable cache directory) still ends the
+    run."""
     try:
-        g = _build_entry(entry, cfg)
-    except FormationsError as exc:
-        return [{"check": c.check_id, "suite_check": c.check_id,
-                 "group": entry.name, "skip": f"build failed: {exc}"}
-                for c in checks]
-    try:
-        return _entry_rows(g, checks, cfg)
+        return _entry_rows(entry, checks, cfg)
     except OSError:
         raise
     except Exception as exc:
         return [_error(c.check_id, entry.name, exc) for c in checks]
 
 
-def _entry_rows(g: FiniteGroup, checks: Sequence[CheckSpec], cfg: RunConfig) -> list[dict]:
+def _entry_rows(entry: CorpusEntry, checks: Sequence[CheckSpec], cfg: RunConfig) -> list[dict]:
+    try:
+        g = _build_entry(entry, cfg)
+    except FormationsError as exc:
+        return [_skip(c.check_id, entry.name, f"build failed: {exc}") for c in checks]
     loaded_from_cache = False
     if cfg.cache_dir:
         try:
