@@ -21,16 +21,15 @@ from formations.groups import FiniteGroup
 from formations.lattice import all_subgroups
 
 STEPS = [0]
+_extend = FiniteGroup.extend
 
 
-def _counted(extend):
-    def wrapper(self, *args):
-        STEPS[0] += 1
-        return extend(self, *args)
-    return wrapper
+def _counted_extend(self, *args):
+    STEPS[0] += 1
+    return _extend(self, *args)
 
 
-FiniteGroup.extend = _counted(FiniteGroup.extend)
+FiniteGroup.extend = _counted_extend
 
 
 def time_raw_closures(name, rounds=2000, seed=1):
