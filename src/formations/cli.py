@@ -151,7 +151,8 @@ def cmd_verify(args) -> int:
     for g in groups:
         try:
             if args.theorem:
-                reports = [verify_theorem(args.theorem, g, n=args.n, r=args.r, f=f)]
+                n = 1 if args.n is None else args.n
+                reports = [verify_theorem(args.theorem, g, n=n, r=args.r, f=f)]
             else:
                 reports = _lemma_reports(args.lemma, g, f, args.n)
         except FormationsError:
@@ -251,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formation")
     p.add_argument("--group")
     p.add_argument("--corpus")
-    p.add_argument("-n", type=int, default=1)
+    p.add_argument("-n", type=int,
+                   help="n for a theorem (default 1); for a lemma, overrides the sampled n")
     p.add_argument("-r", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 

@@ -30,8 +30,8 @@ from .arith import is_prime, p_part, prime_divisors
 from .errors import NoSatellite, NotMaximal
 from .groups import (FiniteGroup, Subgroup, as_group, bits_of, core_bits,
                      derived_bits, quotient, subquotient)
-from .lattice import (ChiefFactor, SubgroupLattice, all_subgroups,
-                      chief_series, minimal_normal_subgroups, normal_subgroups)
+from .lattice import (ChiefFactor, all_subgroups, chief_series,
+                      minimal_normal_subgroups, normal_subgroups)
 from .structure import (is_nilpotent, is_soluble, is_supersoluble,
                         nilpotent_length, subgroup_is_nilpotent)
 
@@ -352,18 +352,18 @@ def is_f_normal_maximal(g: FiniteGroup, m: Subgroup, f: Formation) -> bool:
     return member(f, quotient(g, Subgroup(g, cbits)).base)
 
 
-def f_subnormal_bits(lat: SubgroupLattice, f: Formation) -> frozenset[int]:
-    """Bitmasks of every F-subnormal subgroup of the lattice's group.
+def f_subnormal_bits(g: FiniteGroup, f: Formation) -> frozenset[int]:
+    """Bitmasks of every F-subnormal subgroup of g.
 
     H is F-subnormal iff H = G or H is maximal in some F-subnormal K with
-    K/core_K(H) in F, so one reachability sweep from the top settles every
-    subgroup at once. Memoized per (group, formation).
+    K/core_K(H) in F, so one reachability sweep of g's lattice from the top
+    settles every subgroup at once. Memoized per (group, formation).
     """
-    g = lat.group
     key = ("f_subnormal", f.key)
     hit = g._memo.get(key)
     if hit is not None:
         return hit
+    lat = all_subgroups(g)
     good = {lat.top_index}
     stack = [lat.top_index]
     while stack:
@@ -382,8 +382,7 @@ def f_subnormal_bits(lat: SubgroupLattice, f: Formation) -> frozenset[int]:
 
 
 def is_f_subnormal(g: FiniteGroup, h: Subgroup, f: Formation) -> bool:
-    lat = all_subgroups(g)
-    return h.bits in f_subnormal_bits(lat, f)
+    return h.bits in f_subnormal_bits(g, f)
 
 
 def is_f_critical(g: FiniteGroup, f: Formation, literal: Optional[bool] = None) -> bool:

@@ -387,13 +387,12 @@ class Subgroup:
 
 @dataclass
 class QuotientGroup:
-    """Materialized quotient G/N: its group, the projection map and the
-    kernel. The group may be shared (see `as_group`); the projection and
-    kernel belong to this (G, N)."""
+    """Materialized quotient G/N: its group and the projection map. The
+    group may be shared (see `as_group`); the projection belongs to this
+    (G, N)."""
 
     base: FiniteGroup
     projection: tuple[int, ...]
-    kernel: Subgroup
 
     def project_bits(self, bits: int) -> int:
         return bits_of(map(self.projection.__getitem__, indices_of(bits)))
@@ -665,7 +664,7 @@ def quotient(g: FiniteGroup, n: Subgroup) -> QuotientGroup:
     if not is_normal(g, n):
         raise NotNormal(f"subgroup of order {n.order} is not normal in {g.name}")
     if n.is_trivial:
-        q = QuotientGroup(base=g, projection=tuple(range(g.order)), kernel=n)
+        q = QuotientGroup(base=g, projection=tuple(range(g.order)))
     else:
         rows, coset = g.right_rows, _getter(n.members)
         coset_of = [-1] * g.order
@@ -678,7 +677,7 @@ def quotient(g: FiniteGroup, n: Subgroup) -> QuotientGroup:
         at_reps = _getter(reps)
         qrows = [_getter(at_reps(rows[y]))(coset_of) for y in reps]
         gens = sorted(set(coset_of[x] for x in g.generators) - {0})
-        q = QuotientGroup(base=_section(g, qrows, gens), projection=tuple(coset_of), kernel=n)
+        q = QuotientGroup(base=_section(g, qrows, gens), projection=tuple(coset_of))
     g._quotients[n.bits] = q
     return q
 
@@ -760,6 +759,3 @@ def map_bits_from_sub(h: Subgroup, bits: int) -> int:
         return bits
     return bits_of(map(h.members.__getitem__, indices_of(bits)))
 
-
-def trivial_group(name: str = "1") -> FiniteGroup:
-    return FiniteGroup(name, ((0,),))

@@ -118,7 +118,7 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
                     supers = [s.bits for s in lat.subgroups if s.bits & hb == hb]
                     out.append({"f": f, "h_bits": hb, "m_bits": rng.choice(supers)})
             else:
-                good = sorted(f_subnormal_bits(lat, f))
+                good = sorted(f_subnormal_bits(g, f))
                 pool = [s.bits for s in lat.subgroups]
                 for hb in _sample(rng, good, k):
                     if lemma_id == "2.1.1":
@@ -128,17 +128,14 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
                         out.append({"f": f, "h_bits": hb, "n_bits": nb})
                     else:  # 2.1.3
                         h = Subgroup(g, hb)
-                        hgrp = as_group(h)
-                        inner = sorted(f_subnormal_bits(all_subgroups(hgrp), f))
+                        inner = sorted(f_subnormal_bits(as_group(h), f))
                         kb_local = rng.choice(inner)
                         kb = map_bits_from_sub(h, kb_local)
                         out.append({"f": f, "h_bits": hb, "k_bits": kb})
-        return out[:max(k, 1) * 2]
+        return out
 
     if lemma_id in ("2.4", "2.5"):
         return [{"f": f} for f in _sample(rng, hered, 2)]
-    if lemma_id == "2.6":
-        return [{}]
     if lemma_id in ("2.7", "2.14"):
         pool = [s.bits for s in normal_subgroups(g)]
         if lemma_id == "2.7":
@@ -165,8 +162,6 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
                 rng.shuffle(alt)
                 orderings.append(tuple(alt))
         return [{"ordering": o} for o in orderings]
-    if lemma_id == "3.1":
-        return [{}]
     if lemma_id == "3.4":
         return [{"f": BUILTINS["N"], "r": 0, "p": 2}, {"f": BUILTINS["N^2"], "r": 1, "p": 2}]
     if lemma_id == "3.7":

@@ -128,12 +128,14 @@ def all_subgroups(g: FiniteGroup,
     """Complete subgroup lattice of g (cached on the group).
 
     Raises LatticeExceedsCap when g has more than order_cap elements or
-    more than subgroup_cap subgroups.
+    more than subgroup_cap subgroups, whether or not the lattice is cached.
     """
-    if g._lattice is not None:
-        return g._lattice
     if g.order > order_cap:
         raise LatticeExceedsCap(f"{g.name}: order {g.order} exceeds lattice cap {order_cap}")
+    if g._lattice is not None:
+        if len(g._lattice.subgroups) > subgroup_cap:
+            raise LatticeExceedsCap(f"{g.name}: more than {subgroup_cap} subgroups")
+        return g._lattice
     walk = _ClassWalk(g, subgroup_cap)
     walk.add_class([0], 1, ())
 
@@ -324,16 +326,16 @@ def _normal_atoms(g: FiniteGroup) -> list[int]:
     return atoms
 
 
-def normal_subgroups(g: FiniteGroup,
-                     order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> list[Subgroup]:
+def normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """All normal subgroups of g, sorted by (order, bits).
 
     Computed as the join closure of the normal closures of cyclic subgroups,
     adding one closure at a time; every normal subgroup is a join of such
     closures, and the join of two normal subgroups is their product.
     """
-    if g.order > order_cap:
-        raise LatticeExceedsCap(f"{g.name}: order {g.order} exceeds lattice cap {order_cap}")
+    if g.order > DEFAULT_LATTICE_ORDER_CAP:
+        raise LatticeExceedsCap(
+            f"{g.name}: order {g.order} exceeds lattice cap {DEFAULT_LATTICE_ORDER_CAP}")
     cached = g._memo.get("normal_subgroups")
     if cached is not None:
         return cached

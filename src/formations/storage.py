@@ -35,9 +35,6 @@ class CorpusEntry:
     spec: str
     tags: tuple[str, ...] = ()
 
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.tags
-
 
 def load_corpus(path) -> list[CorpusEntry]:
     """Read a corpus file: either a bare JSON array of {name, spec, tags}

@@ -153,26 +153,27 @@ def is_phi_dispersive(g: FiniteGroup, ordering: DispersiveOrdering) -> bool:
 def dispersiveness(g: FiniteGroup) -> tuple[bool, Optional[DispersiveOrdering]]:
     """(Ore dispersive?, some witness ordering or None).
 
-    The witness search is greedy: take any prime whose Sylow subgroup is
-    normal (smallest first), pass to the quotient, recurse. Quotients of
+    The witness search is greedy: with N the normal Hall subgroup of the
+    primes taken so far, take the least untaken prime p whose Sylow subgroup
+    of G/N is normal, and go on. A normal subgroup M of G of order
+    |N|*|G|_p contains N (|MN/N| divides |G/N|, which is prime to |N|), so
+    it is the preimage of that Sylow subgroup, and the normal-subgroup
+    orders settle each step without building G/N. Quotients of
     phi-dispersive groups stay phi-dispersive, so greedy finds a witness
     whenever one exists.
     """
     pi = sorted(g.pi())
-    ore = is_phi_dispersive(g, tuple(sorted(pi, reverse=True))) if pi else True
+    ore = is_phi_dispersive(g, tuple(reversed(pi))) if pi else True
+    normal_orders = {s.order for s in normal_subgroups(g)}
     witness: list[int] = []
-    cur = g
-    while cur.order > 1:
-        step = None
-        for p in sorted(cur.pi()):
-            s = has_normal_sylow(cur, p)
-            if s is not None:
-                step = (p, s)
-                break
-        if step is None:
+    need = 1
+    while len(witness) < len(pi):
+        p = next((p for p in pi if p not in witness
+                  and need * p_part(g.order, p) in normal_orders), None)
+        if p is None:
             return ore, None
-        witness.append(step[0])
-        cur = quotient(cur, step[1]).base
+        witness.append(p)
+        need *= p_part(g.order, p)
     return ore, tuple(witness)
 
 

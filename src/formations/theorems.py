@@ -4,12 +4,16 @@ Every verifier produces a TheoremReport with an explicit hypotheses_met flag,
 so vacuous passes stay visible in the aggregates. A report with
 hypotheses_met and a false conclusion is a genuine counterexample and always
 carries a witness.
+
+The Sigma_t lemmas (2.10, 3.3-3.6) share one report adapter, `_sigma_report`;
+F-subnormality is asked of a group (G, a subgroup or a quotient) and memoized.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import combinations
 from math import gcd
 from typing import Callable, Optional
 
@@ -76,16 +80,15 @@ def _report(check_id, g, params, hyp, concl, witness=None, notes=()):
 
 def all_n_maximal_f_subnormal(g: FiniteGroup, n: int, f: Formation) -> tuple[bool, list[Subgroup]]:
     """Whether every n-maximal subgroup is F-subnormal; failures listed."""
-    lat = all_subgroups(g)
-    good = f_subnormal_bits(lat, f)
-    bad = [h for h in lat.n_maximal(n) if h.bits not in good]
+    good = f_subnormal_bits(g, f)
+    bad = [h for h in all_subgroups(g).n_maximal(n) if h.bits not in good]
     return (not bad, bad)
 
 
 def _f_subnormal_in(k: Subgroup, bits: int, f: Formation) -> bool:
     """Whether the subgroup of k with these bits (in k's parent) is
     F-subnormal in k."""
-    return map_bits_to_sub(k, bits) in f_subnormal_bits(all_subgroups(as_group(k)), f)
+    return map_bits_to_sub(k, bits) in f_subnormal_bits(as_group(k), f)
 
 
 def _require(f: Formation, **flags) -> None:
@@ -433,9 +436,8 @@ def verify_lemma(lemma_id: str, g: FiniteGroup, **instance) -> TheoremReport:
 
 
 def _lemma_2_1_1(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
-    lat = all_subgroups(g)
     params = {"formation": f.name, "h_order": h_bits.bit_count(), "k_order": k_bits.bit_count()}
-    hyp = bool(f.hereditary) and h_bits in f_subnormal_bits(lat, f)
+    hyp = bool(f.hereditary) and h_bits in f_subnormal_bits(g, f)
     concl = None
     witness = None
     if hyp:
@@ -447,44 +449,41 @@ def _lemma_2_1_1(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
 
 
 def _lemma_2_1_2(g, f: Formation, h_bits: int, n_bits: int) -> TheoremReport:
-    lat = all_subgroups(g)
     params = {"formation": f.name, "h_order": h_bits.bit_count(), "n_order": n_bits.bit_count()}
     nsub = Subgroup(g, n_bits)
-    hyp = h_bits in f_subnormal_bits(lat, f) and is_normal(g, nsub)
+    hyp = h_bits in f_subnormal_bits(g, f) and is_normal(g, nsub)
     concl = None
     witness = None
     if hyp:
         q = quotient(g, nsub)
         img = q.project_bits(h_bits)
-        concl = img in f_subnormal_bits(all_subgroups(q.base), f)
+        concl = img in f_subnormal_bits(q.base, f)
         if not concl:
             witness = "image HN/N fails to be F-subnormal in the quotient"
     return _report("lemma-2.1.2", g, params, hyp, concl, witness)
 
 
 def _lemma_2_1_3(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
-    lat = all_subgroups(g)
     params = {"formation": f.name, "h_order": h_bits.bit_count(), "k_order": k_bits.bit_count()}
-    hyp = (h_bits in f_subnormal_bits(lat, f)
+    hyp = (h_bits in f_subnormal_bits(g, f)
            and _f_subnormal_in(Subgroup(g, h_bits), k_bits, f))
     concl = None
     witness = None
     if hyp:
-        concl = k_bits in f_subnormal_bits(lat, f)
+        concl = k_bits in f_subnormal_bits(g, f)
         if not concl:
             witness = (f"K of order {k_bits.bit_count()} is F-subnormal in H but not in the group")
     return _report("lemma-2.1.3", g, params, hyp, concl, witness)
 
 
 def _lemma_2_1_4(g, f: Formation, k_bits: int) -> TheoremReport:
-    lat = all_subgroups(g)
     params = {"formation": f.name, "k_order": k_bits.bit_count()}
     res = residual(g, f)
     hyp = bool(f.hereditary) and res.bits & k_bits == res.bits
     concl = None
     witness = None
     if hyp:
-        concl = k_bits in f_subnormal_bits(lat, f)
+        concl = k_bits in f_subnormal_bits(g, f)
         if not concl:
             witness = f"K contains the residual yet is not {f.name}-subnormal"
     return _report("lemma-2.1.4", g, params, hyp, concl, witness)
@@ -496,9 +495,8 @@ def _lemma_2_2(g, f: Formation) -> TheoremReport:
     concl = None
     witness = None
     if hyp:
-        lat = all_subgroups(g)
-        good = f_subnormal_bits(lat, f)
-        bad = [s for s in lat.subgroups if s.bits not in good]
+        good = f_subnormal_bits(g, f)
+        bad = [s for s in all_subgroups(g).subgroups if s.bits not in good]
         concl = not bad
         if bad:
             witness = f"subgroup not F-subnormal despite G in {f.name}: {bad[0].describe()}"
@@ -509,15 +507,13 @@ def _lemma_2_3(g, f: Formation, n: int) -> TheoremReport:
     params = {"formation": f.name, "n": n}
     if not (f.hereditary and f.saturated):
         raise InvalidParams(f"{f.name}: lemma needs hereditary + saturated")
-    lat = all_subgroups(g)
     premise, _ = all_n_maximal_f_subnormal(g, n, f)
     hyp = premise
     concl = None
     witness = None
     if hyp:
-        upper = [h for h in lat.n_maximal(n - 1) if not subgroup_member(f, h)]
-        good = f_subnormal_bits(lat, f)
-        lower = [h for h in lat.n_maximal(n + 1) if h.bits not in good]
+        upper = [h for h in all_subgroups(g).n_maximal(n - 1) if not subgroup_member(f, h)]
+        _, lower = all_n_maximal_f_subnormal(g, n + 1, f)
         concl = not upper and not lower
         if upper:
             witness = f"(n-1)-maximal subgroup outside the class: {upper[0].describe()}"
@@ -691,17 +687,25 @@ def _lemma_2_9(g, a_bits: int, b_bits: int, xs: tuple[int, ...]) -> TheoremRepor
     return _report("lemma-2.9", g, params, hyp, concl, witness)
 
 
+def _sigma_report(check_id, g, params, searches) -> TheoremReport:
+    """One report over Sigma_t searches, given as (SigmaReport, witness
+    text) pairs: the hypotheses hold when some search found t subgroups in
+    its formation with pairwise coprime indices, the conclusion when no
+    search is a violation; the witness is the first violation's text."""
+    hyp = any(rep.witness_found for rep, _ in searches)
+    witness = next((text for rep, text in searches if rep.violation), None)
+    return _report(check_id, g, params, hyp, witness is None, witness)
+
+
+def _sigma_search(g, f: Formation, t: int):
+    """The Sigma_t search for F, with the witness text of its violation."""
+    return sigma_closure_check(g, f, t), f"Sigma_{t} violation for {f.name}"
+
+
 def _lemma_2_10(g, f: Formation) -> TheoremReport:
-    params = {"formation": f.name}
     rep = sigma_closure_check(g, f, 3)
-    hyp = rep.witness_found
-    concl = None
-    witness = None
-    if hyp:
-        concl = not rep.violation
-        if rep.violation:
-            witness = f"Sigma_3 witness exists yet the group is outside {f.name}: {rep.witness}"
-    return _report("lemma-2.10", g, params, hyp, concl, witness)
+    return _sigma_report("lemma-2.10", g, {"formation": f.name}, [
+        (rep, f"Sigma_3 witness exists yet the group is outside {f.name}: {rep.witness}")])
 
 
 def _lemma_2_13(g, ordering: tuple[int, ...]) -> TheoremReport:
@@ -779,52 +783,28 @@ def _prop_3_1(g, use_derived: bool = True, check_id: str = "lemma-3.1") -> Theor
     params = {"mode": "derived" if use_derived else "plain"}
     lat = all_subgroups(g)
     subs = lat.subgroups
+    soluble = {i for i, s in enumerate(subs) if subgroup_is_soluble(s)}
     pairs: dict[int, set[int]] = {}
     for i, j in lat.factorizations():
-        pairs.setdefault(i, set()).add(j)
-        pairs.setdefault(j, set()).add(i)
-    soluble_idx = {i for i, s in enumerate(subs) if subgroup_is_soluble(s)}
-    hyp = False
-    concl = None
-    witness = None
-    found = None
-    cand = sorted(pairs)
-    for i in cand:
-        if i not in soluble_idx:
-            continue
-        for j in sorted(pairs[i]):
-            if j < i or j not in soluble_idx:
-                continue
-            for k in sorted(pairs[i] & pairs.get(j, set())):
-                if k < j or k not in soluble_idx:
-                    continue
-                idxs = []
-                skip = False
-                for t in (i, j, k):
-                    s = subs[t]
-                    tb = derived_bits(g, s.bits) if use_derived else s.bits
-                    nz = normalizer(g, Subgroup(g, tb))
-                    idxs.append(g.order // nz.order)
-                for x in range(3):
-                    for y in range(x + 1, 3):
-                        if gcd(idxs[x], idxs[y]) != 1:
-                            skip = True
-                if skip:
-                    continue
-                hyp = True
-                found = (i, j, k)
-                break
-            if hyp:
-                break
-        if hyp:
-            break
-    if hyp:
+        if i in soluble and j in soluble:
+            pairs.setdefault(i, set()).add(j)
+            pairs.setdefault(j, set()).add(i)
+
+    def index(t: int) -> int:
+        tb = derived_bits(g, subs[t].bits) if use_derived else subs[t].bits
+        return g.order // normalizer(g, Subgroup(g, tb)).order
+
+    triples = ((i, j, k) for i in sorted(pairs) for j in sorted(pairs[i]) if j >= i
+               for k in sorted(pairs[i] & pairs[j]) if k >= j)
+    found = next((tr for tr in triples
+                  if all(gcd(x, y) == 1 for x, y in combinations(map(index, tr), 2))), None)
+    concl = witness = None
+    if found is not None:
         concl = profile(g).soluble
         if not concl:
-            a, b, c = (subs[t] for t in found)
-            witness = (f"insoluble group with qualifying triple: orders "
-                       f"{a.order}, {b.order}, {c.order}")
-    return _report(check_id, g, params, hyp, concl, witness)
+            witness = ("insoluble group with qualifying triple: orders "
+                       + ", ".join(str(subs[t].order) for t in found))
+    return _report(check_id, g, params, found is not None, concl, witness)
 
 
 def _prop_3_4(g, f: Formation, r: int, p: int) -> TheoremReport:
@@ -834,18 +814,18 @@ def _prop_3_4(g, f: Formation, r: int, p: int) -> TheoremReport:
     if not f.contains_nilpotent or f.nl_bound is None or f.nl_bound > r + 1:
         raise InvalidParams(f"{f.name} not known to satisfy N <= F <= N^{r + 1}")
     t = r + 3
-    rep_m = sigma_closure_check(g, f, t)
-    rep_gm = sigma_closure_check(g, product(p_groups(p), f), t)
-    hyp = rep_m.witness_found or rep_gm.witness_found
-    concl = None
-    witness = None
-    if hyp:
-        concl = not (rep_m.violation or rep_gm.violation)
-        if rep_m.violation:
-            witness = f"Sigma_{t} violation for {f.name}"
-        elif rep_gm.violation:
-            witness = f"Sigma_{t} violation for Gp({p})*{f.name}"
-    return _report("lemma-3.4", g, params, hyp, concl, witness)
+    return _sigma_report("lemma-3.4", g, params, [
+        _sigma_search(g, f, t), _sigma_search(g, product(p_groups(p), f), t)])
+
+
+def _cor_3_5(g, f: Optional[Formation] = None) -> TheoremReport:
+    f = f or soluble_length_formation(2)
+    return _sigma_report("lemma-3.5", g, {"formation": f.name, "t": 4}, [_sigma_search(g, f, 4)])
+
+
+def _cor_3_6(g, r: int = 2) -> TheoremReport:
+    f, t = soluble_length_formation(r), r + 2
+    return _sigma_report("lemma-3.6", g, {"formation": f.name, "t": t}, [_sigma_search(g, f, t)])
 
 
 def _mann_3_7(g, n: int) -> TheoremReport:
@@ -865,29 +845,6 @@ def _mann_3_7(g, n: int) -> TheoremReport:
     return _report("lemma-3.7", g, params, hyp, concl, witness)
 
 
-def _cor_3_3(g) -> TheoremReport:
-    rep = sigma_closure_check(g, SOLUBLE, 3)
-    params = {}
-    hyp = rep.witness_found
-    concl = None
-    witness = None
-    if hyp:
-        concl = not rep.violation
-        if rep.violation:
-            witness = "three soluble subgroups with coprime indices in an insoluble group"
-    return _report("lemma-3.3", g, params, hyp, concl, witness)
-
-
-def _sigma_corollary(check_id: str, f: Formation, t: int):
-    def run(g) -> TheoremReport:
-        rep = sigma_closure_check(g, f, t)
-        hyp = rep.witness_found
-        concl = (not rep.violation) if hyp else None
-        witness = f"Sigma_{t} violation for {f.name}" if hyp and rep.violation else None
-        return _report(check_id, g, {"formation": f.name, "t": t}, hyp, concl, witness)
-    return run
-
-
 _LEMMAS: dict[str, LemmaChecker] = {
     "2.1.1": _lemma_2_1_1,
     "2.1.2": _lemma_2_1_2,
@@ -904,19 +861,21 @@ _LEMMAS: dict[str, LemmaChecker] = {
     "2.13": _lemma_2_13,
     "2.14": _lemma_2_14,
     "2.15": _lemma_2_15,
-    "3.1": lambda g, **kw: _prop_3_1(g, use_derived=True),
-    "3.2": lambda g, **kw: _prop_3_1(g, use_derived=False, check_id="lemma-3.2"),
-    "3.3": _cor_3_3,
+    "3.1": lambda g: _prop_3_1(g, use_derived=True),
+    "3.2": lambda g: _prop_3_1(g, use_derived=False, check_id="lemma-3.2"),
+    "3.3": lambda g: _sigma_report("lemma-3.3", g, {}, [(
+        sigma_closure_check(g, SOLUBLE, 3),
+        "three soluble subgroups with coprime indices in an insoluble group")]),
     "3.4": _prop_3_4,
-    "3.5": lambda g, f=None, **kw: _sigma_corollary("lemma-3.5", f or soluble_length_formation(2), 4)(g),
-    "3.6": lambda g, r=2, **kw: _sigma_corollary("lemma-3.6", soluble_length_formation(r), r + 2)(g),
+    "3.5": _cor_3_5,
+    "3.6": _cor_3_6,
     "3.7": _mann_3_7,
-    "3.8": lambda g, n=1, **kw: _delegate_theorem("lemma-3.8", "A", g, n=n, r=1, f=SUPERSOLUBLE),
-    "3.9": lambda g, n=1, **kw: _delegate_theorem("lemma-3.9", "A", g, n=n, r=1, f=nilpotent_commutator_class()),
-    "3.10": lambda g, n=1, r=2, **kw: _delegate_theorem("lemma-3.10", "A", g, n=n, r=r - 1, f=soluble_length_formation(r)),
-    "4.1": lambda g, **kw: _delegate_theorem("lemma-4.1", "C", g, f=SUPERSOLUBLE),
-    "4.2": lambda g, n=1, **kw: _delegate_theorem("lemma-4.2", "B", g, n=n, f=SUPERSOLUBLE),
-    "4.3": lambda g, n=1, **kw: _delegate_theorem("lemma-4.3", "D", g, n=n, f=SUPERSOLUBLE),
+    "3.8": lambda g, n=1: _delegate_theorem("lemma-3.8", "A", g, n=n, r=1, f=SUPERSOLUBLE),
+    "3.9": lambda g, n=1: _delegate_theorem("lemma-3.9", "A", g, n=n, r=1, f=nilpotent_commutator_class()),
+    "3.10": lambda g, n=1, r=2: _delegate_theorem("lemma-3.10", "A", g, n=n, r=r - 1, f=soluble_length_formation(r)),
+    "4.1": lambda g: _delegate_theorem("lemma-4.1", "C", g, f=SUPERSOLUBLE),
+    "4.2": lambda g, n=1: _delegate_theorem("lemma-4.2", "B", g, n=n, f=SUPERSOLUBLE),
+    "4.3": lambda g, n=1: _delegate_theorem("lemma-4.3", "D", g, n=n, f=SUPERSOLUBLE),
 }
 
 LEMMA_IDS = tuple(sorted(_LEMMAS))

@@ -63,6 +63,18 @@ def test_verify_lemma(capsys):
     assert rep["hypotheses_met"] and rep["conclusion_holds"]
 
 
+def test_verify_lemma_keeps_sampled_n(capsys):
+    """Without -n, every n the sampler draws is verified; -n overrides it."""
+    code, out, _ = run(capsys, "verify", "--lemma", "3.7", "--group", "S3 x C5",
+                       "--format", "json")
+    assert code == 0
+    assert [r["params"]["n"] for r in json.loads(out)["reports"]] == [1, 2]
+    code, out, _ = run(capsys, "verify", "--lemma", "3.7", "--group", "S3 x C5",
+                       "-n", "2", "--format", "json")
+    assert code == 0
+    assert [r["params"]["n"] for r in json.loads(out)["reports"]] == [2]
+
+
 def test_verify_requires_target(capsys):
     code, _, err = run(capsys, "verify", "--group", "S3")
     assert code == 2

@@ -189,7 +189,7 @@ def test_is_f_normal_maximal(groups):
 def test_f_subnormal(groups):
     d8 = groups["D8"]
     lat = all_subgroups(d8)
-    good = f_subnormal_bits(lat, N)
+    good = f_subnormal_bits(d8, N)
     assert len(good) == len(lat.subgroups)  # Lemma-style: nilpotent member
     sl = groups["SL23"]
     syl3 = sylow(sl, 3)
@@ -206,7 +206,7 @@ def test_f_subnormal_exhaustive_chain_oracle(groups):
         g = groups[name]
         lat = all_subgroups(g)
         for f in (N, U):
-            good = f_subnormal_bits(lat, f)
+            good = f_subnormal_bits(g, f)
             for h in lat.subgroups:
                 expected = _chain_exists(g, lat, h, f)
                 assert (h.bits in good) == expected, (name, f.name, h.order)

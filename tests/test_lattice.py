@@ -255,6 +255,13 @@ def test_subgroup_cap():
     with pytest.raises(LatticeExceedsCap):
         all_subgroups(g, subgroup_cap=29)
     assert len(all_subgroups(g, subgroup_cap=30).subgroups) == 30
+    # the caps hold on a cached lattice too
+    assert len(all_subgroups(g).subgroups) == 30
+    with pytest.raises(LatticeExceedsCap):
+        all_subgroups(g, subgroup_cap=10)
+    with pytest.raises(LatticeExceedsCap):
+        all_subgroups(g, order_cap=10)
+    assert all_subgroups(g, subgroup_cap=30) is all_subgroups(g)
 
 
 def test_s6_lattice():
