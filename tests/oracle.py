@@ -239,3 +239,33 @@ def o_perm_elements(gens):
                 seen.add(nxt)
                 elems.append(nxt)
     return elems
+
+
+def o_sub_table(table, s):
+    """The multiplication table of the subgroup s on its own indexing:
+    local index i stands for the i-th least member of s."""
+    mem = sorted(s)
+    local = {x: i for i, x in enumerate(mem)}
+    return [[local[table[a][b]] for b in mem] for a in mem]
+
+
+def o_f_subnormal(table, pred):
+    """The F-subnormal subgroups, F given by a predicate on tables: those
+    reached from the whole group by steps H maximal in K with K/core_K(H)
+    in F, the core and the quotient taken on K's own table."""
+    subs = o_subgroups(table)
+    full = frozenset(range(len(table)))
+    good = {full}
+    work = [full]
+    while work:
+        k = work.pop()
+        mem = sorted(k)
+        ktable = o_sub_table(table, k)
+        for h in o_maximal_in(subs, k):
+            if h in good:
+                continue
+            core = o_core(ktable, frozenset(mem.index(x) for x in h))
+            if pred(o_quotient_table(ktable, core)):
+                good.add(h)
+                work.append(h)
+    return good

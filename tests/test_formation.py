@@ -1,21 +1,22 @@
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 from formations.dsl import formation_from_text, parse_group
 from formations.errors import NoSatellite, NotMaximal
 from formations.formation import (BUILTINS, MSL_UNBOUNDED, NILPOTENT,
-                                  SUPERSOLUBLE, abelian_exponent,
+                                  SUPERSOLUBLE, Formation, abelian_exponent,
                                   canonical_satellite, f_hypercentre,
                                   f_subnormal_bits, intersection, is_f_central,
                                   is_f_critical, is_f_normal_maximal,
                                   is_f_subnormal, local_membership, member,
                                   p_groups, product, residual,
                                   sigma_closure_check)
-from formations.groups import center
+from formations.groups import Permutation, center, from_generators
 from formations.lattice import all_subgroups, chief_series, sylow
 
 from conftest import PROPERTY, members, perm_groups, table_of
-from oracle import o_is_nilpotent, o_is_supersoluble, o_residual
+from oracle import (o_chief_order_multisets, o_f_subnormal, o_is_nilpotent,
+                    o_is_supersoluble, o_residual)
 
 N, U, S, N2 = BUILTINS["N"], BUILTINS["U"], BUILTINS["S"], BUILTINS["N^2"]
 
@@ -210,6 +211,38 @@ def test_f_subnormal_exhaustive_chain_oracle(groups):
             for h in lat.subgroups:
                 expected = _chain_exists(g, lat, h, f)
                 assert (h.bits in good) == expected, (name, f.name, h.order)
+
+
+# No chief factor of order 2: a formation (chief factors of a quotient or a
+# subdirect product are those of the factors) that is not hereditary, since
+# A4 lies in it and its subgroups of order 2 do not.
+NO_C2_FACTOR = Formation(
+    name="X2", key="X2", hereditary=False,
+    test=lambda g: all(c.order != 2 for c in chief_series(g).factors))
+
+ORACLE_FORMATIONS = (
+    (N, o_is_nilpotent),
+    (U, o_is_supersoluble),
+    (NO_C2_FACTOR, lambda t: all(2 not in m for m in o_chief_order_multisets(t))),
+)
+
+
+A4 = from_generators([Permutation.from_cycles(4, [(0, 1, 2)]),
+                      Permutation.from_cycles(4, [(1, 2, 3)])], "A4")
+
+
+@PROPERTY
+@given(perm_groups())
+@example(A4)
+def test_f_subnormal_matches_oracle(g):
+    """The F-subnormal subgroups of G, for N, U and a formation that is not
+    hereditary, against a sweep built from the oracle's own subgroups, cores
+    and quotient tables."""
+    assume(g.order <= 24)
+    table = table_of(g)
+    for f, pred in ORACLE_FORMATIONS:
+        got = {members(b) for b in f_subnormal_bits(g, f)}
+        assert got == o_f_subnormal(table, pred), f.name
 
 
 def _chain_exists(g, lat, h, f):
