@@ -352,31 +352,47 @@ def is_f_normal_maximal(g: FiniteGroup, m: Subgroup, f: Formation) -> bool:
     return member(f, quotient(g, Subgroup(g, cbits)).base)
 
 
-def f_subnormal_bits(g: FiniteGroup, f: Formation) -> frozenset[int]:
-    """Bitmasks of every F-subnormal subgroup of g.
+def f_subnormal_bits(g: FiniteGroup, f: Formation,
+                     top: Optional[Subgroup] = None) -> frozenset[int]:
+    """Bitmasks (in g's indexing) of the subgroups F-subnormal in top, a
+    subgroup of g that defaults to g.
 
-    H is F-subnormal iff H = G or H is maximal in some F-subnormal K with
-    K/core_K(H) in F, so one reachability sweep of g's lattice from the top
-    settles every subgroup at once. Memoized per (group, formation).
+    H is F-subnormal in top iff H = top or H is maximal in some F-subnormal
+    K with K/core_K(H) in F, so one reachability sweep of g's lattice down
+    from top settles every subgroup below it at once. When F is hereditary,
+    a K in F needs no edge test: every L <= K is in F, and so is every
+    quotient of L (formations are quotient-closed), so every maximal step
+    below K passes and K's whole down-set is F-subnormal. Memoized per
+    (formation, top).
     """
-    key = ("f_subnormal", f.key)
+    top_bits = g.full_bits() if top is None else top.bits
+    key = ("f_subnormal", f.key, top_bits)
     hit = g._memo.get(key)
     if hit is not None:
         return hit
     lat = all_subgroups(g)
-    good = {lat.top_index}
-    stack = [lat.top_index]
+    subs, maximals_of = lat.subgroups, lat.maximals_of
+    start = lat.index_of[top_bits]
+    good = {start}
+    stack = [start]
     while stack:
         ki = stack.pop()
-        k = lat.subgroups[ki]
-        for mi in lat.maximals_of[ki]:
+        k = subs[ki]
+        if f.hereditary is True and subgroup_member(f, k):
+            down = [ki]
+            while down:
+                for mi in maximals_of[down.pop()]:
+                    if mi not in good:
+                        good.add(mi)
+                        down.append(mi)
+            continue
+        for mi in maximals_of[ki]:
             if mi in good:
                 continue
-            m = lat.subgroups[mi]
-            if member(f, subquotient(k, core_bits(g, m.bits, k.gens)).base):
+            if member(f, subquotient(k, core_bits(g, subs[mi].bits, k.gens)).base):
                 good.add(mi)
                 stack.append(mi)
-    out = frozenset(lat.subgroups[i].bits for i in good)
+    out = frozenset(subs[i].bits for i in good)
     g._memo[key] = out
     return out
 

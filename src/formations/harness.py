@@ -19,8 +19,7 @@ from .dsl import parse_group
 from .errors import CorpusParseError, FormationsError, LatticeExceedsCap
 from .formation import (BUILTINS, NILPOTENT, f_subnormal_bits,
                         local_membership, member, p_groups)
-from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, as_group,
-                     map_bits_from_sub)
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup
 from .lattice import all_subgroups, normal_subgroups
 from .storage import CorpusEntry, cache_lattice, load_cached_lattice
 from .structure import dispersiveness, profile
@@ -127,10 +126,7 @@ def lemma_instances(lemma_id: str, g: FiniteGroup, seed: int, k: int) -> list[di
                         nb = rng.choice([s.bits for s in normal_subgroups(g)])
                         out.append({"f": f, "h_bits": hb, "n_bits": nb})
                     else:  # 2.1.3
-                        h = Subgroup(g, hb)
-                        inner = sorted(f_subnormal_bits(as_group(h), f))
-                        kb_local = rng.choice(inner)
-                        kb = map_bits_from_sub(h, kb_local)
+                        kb = rng.choice(sorted(f_subnormal_bits(g, f, Subgroup(g, hb))))
                         out.append({"f": f, "h_bits": hb, "k_bits": kb})
         return out
 

@@ -5,8 +5,10 @@ so vacuous passes stay visible in the aggregates. A report with
 hypotheses_met and a false conclusion is a genuine counterexample and always
 carries a witness.
 
-The Sigma_t lemmas (2.10, 3.3-3.6) share one report adapter, `_sigma_report`;
-F-subnormality is asked of a group (G, a subgroup or a quotient) and memoized.
+The Sigma_t lemmas (2.10, 3.3-3.6) share one report adapter, `_sigma_report`.
+F-subnormality in G or in a subgroup of G is read from one sweep of G's
+lattice (`f_subnormal_bits(g, f, top)`); in a quotient it is asked of the
+quotient group itself. Both are memoized.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .formation import (Formation, SOLUBLE, SUPERSOLUBLE,
                         soluble_length_formation, subgroup_member)
 from .groups import (FiniteGroup, Subgroup, as_group, center, centralizer,
                      conjugate_bits, conjugates, derived_bits, is_normal,
-                     map_bits_from_sub, map_bits_to_sub, normalizer,
+                     map_bits_from_sub, normalizer,
                      p_element_bits, product_bits, quotient, subquotient)
 from .lattice import (ChiefFactor, all_subgroups, fitting, frattini, hall,
                       minimal_normal_subgroups, normal_subgroups,
@@ -83,12 +85,6 @@ def all_n_maximal_f_subnormal(g: FiniteGroup, n: int, f: Formation) -> tuple[boo
     good = f_subnormal_bits(g, f)
     bad = [h for h in all_subgroups(g).n_maximal(n) if h.bits not in good]
     return (not bad, bad)
-
-
-def _f_subnormal_in(k: Subgroup, bits: int, f: Formation) -> bool:
-    """Whether the subgroup of k with these bits (in k's parent) is
-    F-subnormal in k."""
-    return map_bits_to_sub(k, bits) in f_subnormal_bits(as_group(k), f)
 
 
 def _require(f: Formation, **flags) -> None:
@@ -441,7 +437,7 @@ def _lemma_2_1_1(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
     concl = None
     witness = None
     if hyp:
-        concl = _f_subnormal_in(Subgroup(g, k_bits), h_bits & k_bits, f)
+        concl = (h_bits & k_bits) in f_subnormal_bits(g, f, Subgroup(g, k_bits))
         if not concl:
             witness = (f"H of order {h_bits.bit_count()} meets K of order "
                        f"{k_bits.bit_count()} in a subgroup not {f.name}-subnormal in K")
@@ -466,7 +462,7 @@ def _lemma_2_1_2(g, f: Formation, h_bits: int, n_bits: int) -> TheoremReport:
 def _lemma_2_1_3(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
     params = {"formation": f.name, "h_order": h_bits.bit_count(), "k_order": k_bits.bit_count()}
     hyp = (h_bits in f_subnormal_bits(g, f)
-           and _f_subnormal_in(Subgroup(g, h_bits), k_bits, f))
+           and k_bits in f_subnormal_bits(g, f, Subgroup(g, h_bits)))
     concl = None
     witness = None
     if hyp:
@@ -769,7 +765,7 @@ def _lemma_2_15(g, f: Formation, h_bits: int, m_bits: int) -> TheoremReport:
     witness = None
     if hyp:
         m = Subgroup(g, m_bits)
-        hyp = _f_subnormal_in(m, h_bits, f)
+        hyp = h_bits in f_subnormal_bits(g, f, m)
         if hyp:
             concl = subgroup_member(f, m)
             if not concl:

@@ -11,12 +11,12 @@ from formations.formation import (BUILTINS, MSL_UNBOUNDED, NILPOTENT,
                                   is_f_subnormal, local_membership, member,
                                   p_groups, product, residual,
                                   sigma_closure_check)
-from formations.groups import Permutation, center, from_generators
+from formations.groups import Permutation, as_group, center, from_generators
 from formations.lattice import all_subgroups, chief_series, sylow
 
 from conftest import PROPERTY, members, perm_groups, table_of
 from oracle import (o_chief_order_multisets, o_f_subnormal, o_is_nilpotent,
-                    o_is_supersoluble, o_residual)
+                    o_is_supersoluble, o_residual, o_sub_table)
 
 N, U, S, N2 = BUILTINS["N"], BUILTINS["U"], BUILTINS["S"], BUILTINS["N^2"]
 
@@ -206,7 +206,8 @@ def test_f_subnormal_exhaustive_chain_oracle(groups):
     for name in ("S4", "SL23"):
         g = groups[name]
         lat = all_subgroups(g)
-        for f in (N, U):
+        # N*A(2) is hereditary, but its flag is unknown, so every edge is tested
+        for f in (N, U, formation_from_text("N*A(2)")):
             good = f_subnormal_bits(g, f)
             for h in lat.subgroups:
                 expected = _chain_exists(g, lat, h, f)
@@ -235,14 +236,32 @@ A4 = from_generators([Permutation.from_cycles(4, [(0, 1, 2)]),
 @given(perm_groups())
 @example(A4)
 def test_f_subnormal_matches_oracle(g):
-    """The F-subnormal subgroups of G, for N, U and a formation that is not
-    hereditary, against a sweep built from the oracle's own subgroups, cores
-    and quotient tables."""
+    """The subgroups F-subnormal in each subgroup K of G (G itself by
+    default), for N, U and a formation that is not hereditary, against a
+    sweep on K's own table built from the oracle's subgroups, cores and
+    quotient tables."""
     assume(g.order <= 24)
     table = table_of(g)
-    for f, pred in ORACLE_FORMATIONS:
-        got = {members(b) for b in f_subnormal_bits(g, f)}
-        assert got == o_f_subnormal(table, pred), f.name
+    for f, _ in ORACLE_FORMATIONS:
+        assert f_subnormal_bits(g, f) == f_subnormal_bits(g, f, g.full_subgroup())
+    for k in all_subgroups(g).subgroups:
+        mem = sorted(k.members)
+        sub = o_sub_table(table, mem)
+        for f, pred in ORACLE_FORMATIONS:
+            want = {frozenset(mem[i] for i in s) for s in o_f_subnormal(sub, pred)}
+            got = {members(b) for b in f_subnormal_bits(g, f, k)}
+            assert got == want, (f.name, k.order)
+
+
+def test_f_subnormal_below_subgroup_uses_parent_lattice():
+    """Asking below a proper subgroup K reads the parent's lattice: no
+    lattice of K as a group of its own is enumerated."""
+    s4 = from_generators([Permutation.from_cycles(4, [(0, 1)]),
+                          Permutation.from_cycles(4, [(0, 1, 2, 3)])], "S4")
+    proper = [k for k in all_subgroups(s4).subgroups if not k.is_full]
+    for k in proper:
+        f_subnormal_bits(s4, U, k)
+    assert all(as_group(k)._lattice is None for k in proper)
 
 
 def _chain_exists(g, lat, h, f):

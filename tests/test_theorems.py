@@ -2,9 +2,10 @@ import pytest
 
 from formations.dsl import parse_group
 from formations.errors import InvalidParams
-from formations.formation import BUILTINS, is_f_central
+from formations.formation import BUILTINS, is_f_central, member
 from formations.groups import is_normal
 from formations.lattice import all_subgroups, normal_subgroups
+from formations.storage import builtin_corpus_path, load_corpus
 from formations.structure import profile
 from formations.theorems import (_frattini_factor, _special,
                                  all_n_maximal_f_subnormal, classify_type,
@@ -25,6 +26,16 @@ def test_all_n_maximal_f_subnormal(groups):
     for n in (1, 2, 3):
         ok, _ = all_n_maximal_f_subnormal(d8, n, N)
         assert ok  # members of hereditary classes pass at every depth
+
+
+def test_maximal_subgroups_f_subnormal_iff_member():
+    """For a saturated F, every maximal subgroup is F-subnormal iff
+    G/Phi(G) is in F iff G is in F; on a G outside F this exercises the
+    edge tests of the sweep."""
+    for entry in load_corpus(builtin_corpus_path()):
+        g = parse_group(entry.spec, name=entry.name)
+        for f in (N, U, S, N2):
+            assert all_n_maximal_f_subnormal(g, 1, f)[0] == member(f, g), (g.name, f.name)
 
 
 def test_classify_type_i(groups):
