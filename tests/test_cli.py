@@ -147,6 +147,15 @@ def test_lattice_caps_belong_to_lattice(capsys, flag):
     assert "error: S4:" in err
 
 
+def test_lattice_cap_above_default(capsys):
+    """--lattice-cap admits a group above the default cap of 1000."""
+    code, out, _ = run(capsys, "lattice", "--group", "A5 x C17",
+                       "--lattice-cap", "2000", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["order"] == 1020 and doc["subgroups"] == 118
+
+
 def test_invalid_params_is_usage_error(capsys):
     # S carries no nilpotent-length bound, so theorem A must refuse it
     code, _, err = run(capsys, "verify", "--theorem", "A", "--formation", "S",

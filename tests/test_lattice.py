@@ -11,7 +11,8 @@ from formations.lattice import (all_subgroups, chief_series,
 
 from conftest import PROPERTY, perm_groups, table_of
 from oracle import (o_chief_order_multisets, o_fitting, o_frattini,
-                    o_maximal_in, o_normal_subgroups, o_subgroups)
+                    o_maximal_in, o_n_maximal, o_normal_subgroups,
+                    o_subgroups)
 
 
 def bitset(s):
@@ -29,6 +30,22 @@ def test_all_subgroups_matches_oracle(groups):
         g = groups.get(name) or parse_group(name)
         got = {bitset(s) for s in all_subgroups(g).subgroups}
         assert got == o_subgroups(table_of(g)), name
+
+
+@PROPERTY
+@given(perm_groups())
+def test_lattice_matches_oracle(g):
+    """The subgroups, every subgroup's maximal subgroups and the 1-, 2-
+    and 3-maximal layers agree with the brute-force oracle."""
+    assume(g.order <= 24)
+    table = table_of(g)
+    subs = o_subgroups(table)
+    lat = all_subgroups(g)
+    assert {bitset(s) for s in lat.subgroups} == subs
+    for s, children in zip(lat.subgroups, lat.maximals_of):
+        assert {bitset(lat.subgroups[j]) for j in children} == o_maximal_in(subs, bitset(s))
+    for n in (1, 2, 3):
+        assert {bitset(s) for s in lat.n_maximal(n)} == o_n_maximal(table, n)
 
 
 def test_lattice_caps():
