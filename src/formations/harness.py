@@ -10,7 +10,6 @@ across runs either way.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -350,6 +349,7 @@ def run_corpus(entries: Iterable[CorpusEntry], checks: Optional[Sequence[CheckSp
         raise CorpusParseError("duplicate group names in corpus")
 
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunks = list(pool.map(_run_entry_star, [(e, tuple(checks), cfg) for e in entries]))
     else:
