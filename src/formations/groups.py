@@ -267,35 +267,39 @@ class FiniteGroup:
         flags.reverse()
         return int(flags, 2)
 
-    def extend(self, elems: Sequence[int], rows: Sequence, s: int) -> tuple[list[int], int]:
+    def extend(self, elems: Sequence[int], rows: Sequence, s: int,
+               bound: Optional[int] = None) -> tuple[list[int], int]:
         """One Dimino step: the elements and bitmask of <H, s>.
 
         H is given by its elements `elems` (the identity among them) and the
         right rows of its generators (`right_row`); s must lie outside H.
         The elements of <H, s> come back with those of H first. The inputs
-        are not changed.
+        are not changed. `bound`, when given, is an order that no proper
+        subgroup containing H exceeds (see `_dimino`); the result is G
+        either way.
         """
         n = self.order
         flags = bytearray(b"0") * n
         for x in elems:
             flags[x] = 49
         elems, rows = list(elems), list(rows)
-        if not self._dimino(flags, elems, rows, s):
+        if not self._dimino(flags, elems, rows, s, bound):
             return list(range(n)), (1 << n) - 1
         flags.reverse()
         return elems, int(flags, 2)
 
-    def _dimino(self, flags: bytearray, elems: list, rows: list, s: int) -> bool:
+    def _dimino(self, flags: bytearray, elems: list, rows: list, s: int,
+                bound: Optional[int] = None) -> bool:
         """Extend H to <H, s> in place, s outside H.
 
         H is its member flags (ASCII "1" at each member), its elements and
         the right rows of its generators; s's row is appended to `rows`.
         <H, s> is a union of right cosets H*y, each gathered from y's
         right-multiplication row, and new coset representatives are added
-        until they are closed under every generator. By Lagrange a proper
-        <H, s> has at most [G:H]/p cosets of H, p the least prime dividing
-        [G:H], so one more coset means <H, s> = G: then this returns False
-        and leaves the state partial.
+        until they are closed under every generator. A proper <H, s> has at
+        most bound/|H| cosets of H; without a bound, Lagrange's |G|/p serves,
+        p the least prime dividing [G:H]. So one more coset means
+        <H, s> = G: then this returns False and leaves the state partial.
         """
         right = self.right_rows
         row = right[s]
@@ -307,8 +311,9 @@ class FiniteGroup:
                 elems.append(z)
                 z = row[z]
             return True
-        index = self.order // len(elems)
-        most = index // factorize(index)[0][0]
+        if bound is None:
+            bound = self.order // factorize(self.order // len(elems))[0][0]
+        most = bound // len(elems)
         take = itemgetter(*elems)
         reps = [0]
         for y in reps:

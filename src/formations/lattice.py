@@ -12,7 +12,18 @@ generator of an extender outside it. A new subgroup brings in its whole
 class: the orbit of its element list under conjugation by the group's
 generators, with its recorded generators mapped along. The covers of each
 representative come from a containment scan and are conjugated along the
-same orbit to the rest of its class.
+same orbit to the rest of its class, by the image of each subgroup under
+each conjugation action, recorded (bits to bits) as the classes are added.
+
+A Dimino step that gives G is cut short: it stops once <H, x> outgrows
+every proper subgroup containing H. Let K >= H be proper, m = [G:K] and
+N = core_G(K), a proper normal subgroup of G. Then HN <= K, so m divides
+[G:HN], and G permutes the m cosets of K with kernel N, so [G:N] divides
+m!. So |K| <= |G|/m_N, m_N the least m >= 2 that divides [G:HN] and has
+[G:N] | m!, for some proper normal N with HN != G; the largest of these
+(`_overgroup_bound`) bounds the step. It is never above Lagrange's bound
+|G|/p, p the least prime dividing [G:H]; in A6, where no proper subgroup
+has index below 6, it is 60 for an H of order 2, not 180.
 
 Two prunings drop the steps whose result the walk already knows:
 
@@ -40,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .arith import p_part, pi_part, prime_divisors
+from .arith import factorize, p_part, pi_part, prime_divisors
 from .errors import LatticeExceedsCap
 from .groups import (FiniteGroup, Subgroup, conjugacy_classes, conjugates,
                      conjugation_actions, generating_set, indices_of,
@@ -147,6 +158,7 @@ def all_subgroups(g: FiniteGroup,
             walk.add_class(indices_of(bits), bits, (x,))
     ext = _Extenders(g, [gens[0] for bits, gens in walk.found.items() if bits != 1])
     seeds, full = len(walk.reps), g.full_bits()
+    cores = _cores(g, order_cap)
 
     # extend each class representative H by one C_j per H-orbit outside it
     for r, (hbits, helems, hgens) in enumerate(walk.reps):  # grows while read
@@ -158,8 +170,9 @@ def all_subgroups(g: FiniteGroup,
         if r >= seeds:
             done = done.union(*[ext.full_with[k] for k in done])
         hrows = [g.right_row(x) for x in hgens]
+        bound = _overgroup_bound(g, cores, hbits, len(helems))
         for orbit in ext.orbits(hgens, done):
-            kelems, kbits = g.extend(helems, hrows, ext.gens[orbit[0]])
+            kelems, kbits = g.extend(helems, hrows, ext.gens[orbit[0]], bound)
             if kbits == full and r < seeds:
                 ext.full_with[ext.index[hgens[0]]].update(orbit)
             if kbits not in walk.found:
@@ -188,6 +201,7 @@ class _ClassWalk:
         self.actions = conjugation_actions(g)
         self.pow2 = [1 << i for i in range(g.order)]
         self.found: dict[int, tuple[int, ...]] = {}
+        self.image: list[dict[int, int]] = [{} for _ in self.actions]
         self.reps: list[tuple[int, list[int], tuple[int, ...]]] = []
         self.orbits: list[list[tuple[int, int, int]]] = []
 
@@ -207,9 +221,10 @@ class _ClassWalk:
         orbit = [(bits, -1, -1)]
         members, gens_of = [elems], [gens]
         for k, cur in enumerate(members):
+            kbits = orbit[k][0]
             for a, act in enumerate(self.actions):
                 image = list(map(act.__getitem__, cur))
-                ibits = self._bits(image)
+                ibits = self.image[a][kbits] = self._bits(image)
                 if ibits not in self.found:
                     igens = tuple(map(act.__getitem__, gens_of[k]))
                     self._record(ibits, igens)
@@ -220,18 +235,18 @@ class _ClassWalk:
 
     def covers(self, subs: list[Subgroup]) -> list[list[int]]:
         """maximals_of for the sorted subgroups: each representative's covers
-        by a containment scan, conjugated along its orbit."""
+        by a containment scan, conjugated along its orbit by the images
+        that `add_class` recorded."""
         index_of = {s.bits: i for i, s in enumerate(subs)}
         out: list[list[int]] = [[] for _ in subs]
         for orbit in self.orbits:
             i = index_of[orbit[0][0]]
             out[i] = _covers(subs, i)
-            images = [[subs[j].members for j in out[i]]]
+            images = [[subs[j].bits for j in out[i]]]
             for bits, parent, a in orbit[1:]:
-                act = self.actions[a]
-                mapped = [list(map(act.__getitem__, e)) for e in images[parent]]
+                mapped = list(map(self.image[a].__getitem__, images[parent]))
                 images.append(mapped)
-                out[index_of[bits]] = sorted(index_of[self._bits(e)] for e in mapped)
+                out[index_of[bits]] = sorted(map(index_of.__getitem__, mapped))
         return out
 
 
@@ -295,6 +310,46 @@ class _Extenders:
                 self.full_with[k] = {index[act[gens[i]]] for i in self.full_with[ks[parent]]}
 
 
+def _cores(g: FiniteGroup, order_cap: int) -> list[tuple[int, int, int]]:
+    """(bits, order, d) for each proper normal subgroup N of g, largest
+    first, d the least m with [G:N] dividing m!: G acts on the m cosets of
+    a subgroup of index m with a kernel N, so G/N embeds in S_m."""
+    out = []
+    for nsub in reversed(normal_subgroups(g, order_cap)[:-1]):
+        index, m, fact = g.order // nsub.order, 1, 1
+        while fact % index:
+            m += 1
+            fact *= m
+        out.append((nsub.bits, nsub.order, m))
+    return out
+
+
+def _overgroup_bound(g: FiniteGroup, cores: list[tuple[int, int, int]],
+                     hbits: int, horder: int) -> int:
+    """An order that no proper subgroup K >= H exceeds: the largest
+    |G|/m_N over the proper normal N with HN != G (module docstring). No
+    |G|/m_N is above Lagrange's |G|/p, so the scan stops at the first N
+    that gives it.
+    """
+    n = g.order
+    if horder == n:
+        return n
+    lagrange = n // factorize(n // horder)[0][0]
+    best = horder
+    for nbits, norder, d in cores:
+        hn = horder * norder // (hbits & nbits).bit_count()
+        index = n // hn
+        if index < d:  # HN = G, or no K >= HN has this core
+            continue
+        m = d
+        while index % m:
+            m += 1
+        best = max(best, n // m)
+        if best == lagrange:
+            break
+    return best
+
+
 def _covers(subs: list[Subgroup], i: int) -> list[int]:
     """Positions of the maximal subgroups of subs[i] (subs sorted by order)."""
     h = subs[i]
@@ -326,16 +381,17 @@ def _normal_atoms(g: FiniteGroup) -> list[int]:
     return atoms
 
 
-def normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
+def normal_subgroups(g: FiniteGroup,
+                     order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> list[Subgroup]:
     """All normal subgroups of g, sorted by (order, bits).
 
     Computed as the join closure of the normal closures of cyclic subgroups,
     adding one closure at a time; every normal subgroup is a join of such
     closures, and the join of two normal subgroups is their product.
+    Raises LatticeExceedsCap when g has more than order_cap elements.
     """
-    if g.order > DEFAULT_LATTICE_ORDER_CAP:
-        raise LatticeExceedsCap(
-            f"{g.name}: order {g.order} exceeds lattice cap {DEFAULT_LATTICE_ORDER_CAP}")
+    if g.order > order_cap:
+        raise LatticeExceedsCap(f"{g.name}: order {g.order} exceeds lattice cap {order_cap}")
     cached = g._memo.get("normal_subgroups")
     if cached is not None:
         return cached

@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 from formations.dsl import parse_group
 from formations.errors import LatticeExceedsCap
 from formations.groups import is_normal
-from formations.lattice import (all_subgroups, chief_series,
-                                fitting, frattini, hall,
+from formations.lattice import (_cores, _overgroup_bound, all_subgroups,
+                                chief_series, fitting, frattini, hall,
                                 minimal_normal_subgroups, normal_subgroups,
                                 o_core, sylow, sylow_conjugates)
 
@@ -46,6 +46,31 @@ def test_lattice_matches_oracle(g):
         assert {bitset(lat.subgroups[j]) for j in children} == o_maximal_in(subs, bitset(s))
     for n in (1, 2, 3):
         assert {bitset(s) for s in lat.n_maximal(n)} == o_n_maximal(table, n)
+
+
+@PROPERTY
+@given(perm_groups())
+@example(parse_group("A5"))
+@example(parse_group("S5"))
+@example(parse_group("A6"))
+def test_overgroup_bound_is_sound(g):
+    """No proper subgroup containing H is larger than the bound a Dimino
+    step from H stops at. Every proper subgroup lies in a maximal one, so
+    the largest maximal subgroup containing H is the order to beat."""
+    lat = all_subgroups(g)
+    cores = _cores(g, g.order)
+    maxima = [lat.subgroups[j] for j in lat.maximals_of[lat.top_index]]
+    for h in lat.subgroups[:-1]:
+        largest = max(m.order for m in maxima if m.contains_subgroup(h))
+        assert _overgroup_bound(g, cores, h.bits, h.order) >= largest
+
+
+def test_overgroup_bound_below_lagrange():
+    """In A6 no proper subgroup has index below 6, so an involution's
+    proper overgroups have order at most 60, not 360/2."""
+    g = parse_group("A6")
+    h = next(s for s in all_subgroups(g).subgroups if s.order == 2)
+    assert _overgroup_bound(g, _cores(g, g.order), h.bits, h.order) == 60
 
 
 def test_lattice_caps():
