@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import assume, example, given
 
@@ -56,8 +58,12 @@ def test_lattice_matches_oracle(g):
 def test_overgroup_bound_is_sound(g):
     """No proper subgroup containing H is larger than the bound a Dimino
     step from H stops at. Every proper subgroup lies in a maximal one, so
-    the largest maximal subgroup containing H is the order to beat."""
-    lat = all_subgroups(g)
+    the largest maximal subgroup containing H is the order to beat. The
+    lattice is built with Lagrange's bound alone, so that an unsound bound
+    cannot hide a subgroup that refutes it."""
+    g._lattice = None
+    with mock.patch("formations.lattice._overgroup_bound", lambda *args: None):
+        lat = all_subgroups(g)
     cores = _cores(g, g.order)
     maxima = [lat.subgroups[j] for j in lat.maximals_of[lat.top_index]]
     for h in lat.subgroups[:-1]:
