@@ -22,8 +22,7 @@ from .formation import (BUILTINS, Formation, f_hypercentre, is_f_critical,
 from .groups import DEFAULT_ORDER_CAP
 from .harness import (DEFAULT_SEED, LEMMA_INSTANCES_PER_GROUP, RunConfig, SUITES,
                       lemma_instances, run_corpus)
-from .lattice import (DEFAULT_LATTICE_ORDER_CAP, DEFAULT_SUBGROUP_CAP,
-                      all_subgroups)
+from .lattice import DEFAULT_SUBGROUP_CAP, all_subgroups
 from .storage import (builtin_corpus_path, load_corpus, report_dumps,
                       write_report)
 from .structure import dispersiveness, profile
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="subgroup counts by order",
                        parents=[common], allow_abbrev=False)
     p.add_argument("--group", required=True)
-    p.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_ORDER_CAP)
+    p.add_argument("--lattice-cap", type=int, default=DEFAULT_ORDER_CAP)
     p.add_argument("--subgroup-cap", type=int, default=DEFAULT_SUBGROUP_CAP)
     p.set_defaults(fn=cmd_lattice)
 

@@ -175,10 +175,9 @@ def _build_entry(entry: CorpusEntry, cfg: RunConfig) -> FiniteGroup:
 def run_entry_checks(entry: CorpusEntry, checks: Sequence[CheckSpec],
                      cfg: RunConfig) -> list[dict]:
     """All check results for one corpus entry (deterministic order). An
-    exception outside the checks (building the group, its profile, its
-    lattice cache) becomes one error row per check, and the run goes on; a
-    file error (`OSError`, say an unusable cache directory) still ends the
-    run."""
+    exception outside the checks (building the group, its lattice cache)
+    becomes one error row per check, and the run goes on; a file error
+    (`OSError`, say an unusable cache directory) still ends the run."""
     try:
         return _entry_rows(entry, checks, cfg)
     except OSError:
@@ -199,10 +198,9 @@ def _entry_rows(entry: CorpusEntry, checks: Sequence[CheckSpec], cfg: RunConfig)
         except FormationsError:
             pass
 
-    prof = profile(g)
     out: list[dict] = []
     for check in checks:
-        out.extend(_run_one_check(g, prof, check, cfg))
+        out.extend(_run_one_check(g, check, cfg))
 
     if cfg.cache_dir and not loaded_from_cache and g._lattice is not None:
         cache_lattice(g, g._lattice, cfg.cache_dir)
@@ -224,25 +222,25 @@ def _error(check_id, gname, exc: Exception) -> dict:
             "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _run_one_check(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
-    """The rows of one check on one group. An exception inside the check
-    becomes one error row in place of its rows, and the run goes on."""
+def _run_one_check(g, check: CheckSpec, cfg: RunConfig) -> list[dict]:
+    """The rows of one check on one group. A lattice cap hit anywhere in
+    the check becomes one skip row in place of its rows, any other
+    exception one error row, and the run goes on."""
     try:
-        return _check_rows(g, prof, check, cfg)
+        return _check_rows(g, check, cfg)
+    except LatticeExceedsCap:
+        return [_skip(check.check_id, g.name, "lattice cap")]
     except Exception as exc:
         return [_error(check.check_id, g.name, exc)]
 
 
-def _check_rows(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
+def _check_rows(g, check: CheckSpec, cfg: RunConfig) -> list[dict]:
+    prof = profile(g)
     out = []
     if check.kind == "satellite":
         for fname in check.grid:
             f = BUILTINS[fname]
-            try:
-                agree = member(f, g) == local_membership(g, f)
-            except LatticeExceedsCap:
-                out.append(_skip(check.check_id, g.name, "lattice cap"))
-                continue
+            agree = member(f, g) == local_membership(g, f)
             witness = None if agree else f"membership and local definition disagree for {fname}"
             rep = TheoremReport(check.check_id, g.name, {"formation": fname}, True, agree, witness)
             out.append(_result(rep, check.check_id))
@@ -275,12 +273,9 @@ def _check_rows(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
         if g.order > LEMMA_GROUPS_MAX_ORDER:
             return [_skip(check.check_id, g.name, "order above lemma sampling bound")]
         for lemma_id in check.grid:
-            try:
-                for inst in lemma_instances(lemma_id, g, cfg.seed, LEMMA_INSTANCES_PER_GROUP):
-                    rep = verify_lemma(lemma_id, g, **inst)
-                    out.append(_result(rep, check.check_id))
-            except LatticeExceedsCap:
-                out.append(_skip(check.check_id, g.name, f"lattice cap in lemma {lemma_id}"))
+            for inst in lemma_instances(lemma_id, g, cfg.seed, LEMMA_INSTANCES_PER_GROUP):
+                rep = verify_lemma(lemma_id, g, **inst)
+                out.append(_result(rep, check.check_id))
         return out
 
     # theorem grids: (formation, r, n), None where the theorem takes no such parameter
@@ -288,11 +283,7 @@ def _check_rows(g, prof, check: CheckSpec, cfg: RunConfig) -> list[dict]:
         return [_skip(check.check_id, g.name, "not soluble")]
     theorem_id = check.check_id.removeprefix("theorem-")
     for fname, r, n in check.grid:
-        try:
-            rep = verify_theorem(theorem_id, g, n=n, r=r, f=BUILTINS[fname])
-        except LatticeExceedsCap:
-            out.append(_skip(check.check_id, g.name, "lattice cap"))
-            continue
+        rep = verify_theorem(theorem_id, g, n=n, r=r, f=BUILTINS[fname])
         out.append(_result(rep, check.check_id))
     return out
 

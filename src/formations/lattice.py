@@ -15,6 +15,12 @@ representative come from a containment scan and are conjugated along the
 same orbit to the rest of its class, by the image of each subgroup under
 each conjugation action, recorded (bits to bits) as the classes are added.
 
+For h in H, <H, C_j^h> = <H, C_j>^h = <H, C_j>, so H takes one Dimino
+step per orbit of the extenders outside it under conjugation by H's
+generators, by the first in extender order. The walk therefore adds the
+same classes, in the same order, with the same recorded generators as
+extending every representative by every extender.
+
 A Dimino step that gives G is cut short: it stops once <H, x> outgrows
 every proper subgroup containing H. Let K >= H be proper, m = [G:K] and
 N = core_G(K), a proper normal subgroup of G. Then HN <= K, so m divides
@@ -25,25 +31,12 @@ m!. So |K| <= |G|/m_N, m_N the least m >= 2 that divides [G:HN] and has
 |G|/p, p the least prime dividing [G:H]; in A6, where no proper subgroup
 has index below 6, it is 60 for an H of order 2, not 180.
 
-Two prunings drop the steps whose result the walk already knows:
-
-* For h in H, <H, C_j^h> = <H, C_j>^h = <H, C_j>, so H is extended by one
-  extender per orbit under conjugation by H's generators, the first in
-  extender order.
-* If <C, C_j> = G for a cyclic C <= H, then <H, C_j> = G. The sets
-  `full_with[k]` of the j with <C_k, C_j> = G are read off while the
-  seeds are extended (seeds come first) and carried to their conjugates;
-  every later representative skips the extenders they name.
-
-A skipped step could only give G, which the seed step that filled
-`full_with` already found, or the subgroup that the orbit's first member
-gave. So the walk adds the same classes, in the same order, with the same
-recorded generators as extending every representative by every extender.
-
 Everything that only needs *normal* subgroups (chief series, Fitting, O_p
 cores) is computed directly from the closures of conjugacy classes instead,
 which keeps membership predicates usable on groups whose full lattice would
-be expensive.
+be expensive. A group's order is capped when it is built; the lattice walk
+and the normal subgroups are capped by their output, DEFAULT_SUBGROUP_CAP
+subgroups, and raise LatticeExceedsCap past it.
 """
 
 from __future__ import annotations
@@ -53,11 +46,10 @@ from typing import Iterator, Optional
 
 from .arith import factorize, p_part, pi_part, prime_divisors
 from .errors import LatticeExceedsCap
-from .groups import (FiniteGroup, Subgroup, conjugacy_classes, conjugates,
-                     conjugation_actions, generating_set, indices_of,
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, conjugacy_classes,
+                     conjugates, conjugation_actions, generating_set, indices_of,
                      normalizer, p_element_bits, product_bits, quotient)
 
-DEFAULT_LATTICE_ORDER_CAP = 1000
 DEFAULT_SUBGROUP_CAP = 100000
 
 
@@ -105,23 +97,6 @@ class SubgroupLattice:
             level = {j for i in level for j in self.maximals_of[i]}
         return [self.subgroups[i] for i in sorted(level)]
 
-    def maximal_chains(self, h: Subgroup, top: Optional[Subgroup] = None) -> Iterator[tuple[Subgroup, ...]]:
-        """Yield every step-maximal chain from h up to top, endpoints included."""
-        start = self.position(h)
-        goal = self.top_index if top is None else self.position(top)
-        if not self.subgroups[goal].contains_subgroup(self.subgroups[start]):
-            return
-
-        def walk(i, acc):
-            if i == goal:
-                yield tuple(self.subgroups[j] for j in acc)
-                return
-            for k in self.overgroups_of[i]:
-                if self.subgroups[goal].contains_subgroup(self.subgroups[k]):
-                    yield from walk(k, acc + [k])
-
-        yield from walk(start, [start])
-
     def by_order(self, order: int) -> list[Subgroup]:
         return [s for s in self.subgroups if s.order == order]
 
@@ -134,7 +109,7 @@ class SubgroupLattice:
 
 
 def all_subgroups(g: FiniteGroup,
-                  order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
+                  order_cap: int = DEFAULT_ORDER_CAP,
                   subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> SubgroupLattice:
     """Complete subgroup lattice of g (cached on the group).
 
@@ -157,24 +132,16 @@ def all_subgroups(g: FiniteGroup,
         if bits not in walk.found and len(prime_divisors(bits.bit_count())) == 1:
             walk.add_class(indices_of(bits), bits, (x,))
     ext = _Extenders(g, [gens[0] for bits, gens in walk.found.items() if bits != 1])
-    seeds, full = len(walk.reps), g.full_bits()
-    cores = _cores(g, order_cap)
+    cores = _cores(g)
 
     # extend each class representative H by one C_j per H-orbit outside it
-    for r, (hbits, helems, hgens) in enumerate(walk.reps):  # grows while read
+    for hbits, helems, hgens in walk.reps:  # grows while read
         if hbits == 1:
             continue
-        if r == seeds:  # every seed is extended
-            ext.carry(walk, seeds)
-        done = ext.within(helems)
-        if r >= seeds:
-            done = done.union(*[ext.full_with[k] for k in done])
         hrows = [g.right_row(x) for x in hgens]
         bound = _overgroup_bound(g, cores, hbits, len(helems))
-        for orbit in ext.orbits(hgens, done):
+        for orbit in ext.orbits(hgens, ext.within(helems)):
             kelems, kbits = g.extend(helems, hrows, ext.gens[orbit[0]], bound)
-            if kbits == full and r < seeds:
-                ext.full_with[ext.index[hgens[0]]].update(orbit)
             if kbits not in walk.found:
                 walk.add_class(kelems, kbits, generating_set(g, kelems, kbits))
 
@@ -256,9 +223,7 @@ class _Extenders:
 
     `index` maps each element of prime-power order > 1 to the j of the C_j
     it generates (-1 for the other elements), so conjugation by t maps C_j
-    to C_index[gens[j]^t]. `full_with[k]` is the set of the j with
-    <C_k, C_j> = G, filled while the seeds are extended and carried to
-    their conjugates by `carry`.
+    to C_index[gens[j]^t]; `orbits` groups the C_j outside H by it.
     """
 
     def __init__(self, g: FiniteGroup, gens: list[int]):
@@ -273,7 +238,6 @@ class _Extenders:
                 if e % p:
                     self.index[y] = j
                 y = row[y]
-        self.full_with: list[set[int]] = [set() for _ in gens]
 
     def within(self, helems: list[int]) -> set[int]:
         """The j with C_j <= H, H given by its elements."""
@@ -299,23 +263,13 @@ class _Extenders:
                         orbit.append(k)
             yield orbit
 
-    def carry(self, walk: "_ClassWalk", seeds: int) -> None:
-        """Fill full_with along the seeds' class orbits: for a generator s
-        of G, <C^s, D^s> = <C, D>^s = G."""
-        gens, index = self.gens, self.index
-        for orbit in walk.orbits[1:seeds]:
-            ks = [index[walk.found[bits][0]] for bits, _, _ in orbit]
-            for k, (_, parent, a) in zip(ks[1:], orbit[1:]):
-                act = walk.actions[a]
-                self.full_with[k] = {index[act[gens[i]]] for i in self.full_with[ks[parent]]}
 
-
-def _cores(g: FiniteGroup, order_cap: int) -> list[tuple[int, int, int]]:
+def _cores(g: FiniteGroup) -> list[tuple[int, int, int]]:
     """(bits, order, d) for each proper normal subgroup N of g, largest
     first, d the least m with [G:N] dividing m!: G acts on the m cosets of
     a subgroup of index m with a kernel N, so G/N embeds in S_m."""
     out = []
-    for nsub in reversed(normal_subgroups(g, order_cap)[:-1]):
+    for nsub in reversed(normal_subgroups(g)[:-1]):
         index, m, fact = g.order // nsub.order, 1, 1
         while fact % index:
             m += 1
@@ -381,23 +335,23 @@ def _normal_atoms(g: FiniteGroup) -> list[int]:
     return atoms
 
 
-def normal_subgroups(g: FiniteGroup,
-                     order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> list[Subgroup]:
+def normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """All normal subgroups of g, sorted by (order, bits).
 
     Computed as the join closure of the normal closures of cyclic subgroups,
     adding one closure at a time; every normal subgroup is a join of such
     closures, and the join of two normal subgroups is their product.
-    Raises LatticeExceedsCap when g has more than order_cap elements.
+    Raises LatticeExceedsCap once the closure holds more than
+    DEFAULT_SUBGROUP_CAP subgroups.
     """
-    if g.order > order_cap:
-        raise LatticeExceedsCap(f"{g.name}: order {g.order} exceeds lattice cap {order_cap}")
     cached = g._memo.get("normal_subgroups")
     if cached is not None:
         return cached
     known = {1}
     for a in _normal_atoms(g):  # the joins of the atoms so far, with a
         known |= {product_bits(g, n, a) for n in known if a & n != a}
+        if len(known) > DEFAULT_SUBGROUP_CAP:
+            raise LatticeExceedsCap(f"{g.name}: more than {DEFAULT_SUBGROUP_CAP} normal subgroups")
     subs = [Subgroup(g, b) for b in sorted(known, key=lambda b: (b.bit_count(), b))]
     g._memo["normal_subgroups"] = subs
     return subs

@@ -148,12 +148,43 @@ def test_lattice_caps_belong_to_lattice(capsys, flag):
 
 
 def test_lattice_cap_above_default(capsys):
-    """--lattice-cap admits a group above the default cap of 1000."""
-    code, out, _ = run(capsys, "lattice", "--group", "A5 x C17",
-                       "--lattice-cap", "2000", "--format", "json")
+    """The lattice cap defaults to the group order cap of 5000, and
+    --lattice-cap can set it either way."""
+    for flags in ((), ("--lattice-cap", "2000")):
+        code, out, _ = run(capsys, "lattice", "--group", "A5 x C17", *flags,
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["order"] == 1020 and doc["subgroups"] == 118
+
+
+@pytest.mark.parametrize("spec", ["A5 x C17", "C7 x C11 x C13"])
+def test_corpus_above_order_1000(tmp_path, capsys, spec):
+    """A group of order above 1000 runs every check of the full suite."""
+    corpus = tmp_path / "c.json"
+    write_corpus([CorpusEntry(spec, spec, ())], corpus)
+    code, out, _ = run(capsys, "corpus", "--path", str(corpus), "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["order"] == 1020 and doc["subgroups"] == 118
+    assert doc["status"] == "ok"
+    assert not any("errors" in c for c in doc["checks"])
+
+
+def test_lattice_cap_is_a_skip(tmp_path, capsys, monkeypatch):
+    """A subgroup cap hit anywhere in a check, its group's profile included,
+    gives that check one "lattice cap" skip row, not an error."""
+    import formations.lattice as lattice
+
+    monkeypatch.setattr(lattice, "DEFAULT_SUBGROUP_CAP", 5)
+    corpus = tmp_path / "c.json"
+    write_corpus([CorpusEntry("C2^4", "C2 x C2 x C2 x C2", ())], corpus)
+    code, out, _ = run(capsys, "corpus", "--path", str(corpus), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "ok"
+    assert not any("errors" in c for c in doc["checks"])
+    assert all(c["skips"] == [{"group": "C2^4", "reason": "lattice cap"}]
+               for c in doc["checks"])
 
 
 def test_invalid_params_is_usage_error(capsys):
@@ -250,9 +281,9 @@ def test_check_that_raises_is_an_error_row(tmp_path, capsys, monkeypatch):
 
 
 def test_group_step_that_raises_is_an_error_row_per_check(tmp_path, capsys, monkeypatch):
-    """An exception outside the checks (here the group's profile) gives exit 3
-    and one error row per check for that group; the other group's rows are
-    unchanged."""
+    """An exception outside the checks (here building the group) gives exit
+    3 and one error row per check for that group; the other group's rows
+    are unchanged."""
     import formations.harness as harness
 
     corpus = tmp_path / "c.json"
@@ -264,14 +295,14 @@ def test_group_step_that_raises_is_an_error_row_per_check(tmp_path, capsys, monk
     assert code == 0
     clean = json.loads(out)
 
-    real = harness.profile
+    real = harness._build_entry
 
-    def raising(g):
-        if g.name == "S4":
+    def raising(entry, cfg):
+        if entry.name == "S4":
             raise ZeroDivisionError("division by zero")
-        return real(g)
+        return real(entry, cfg)
 
-    monkeypatch.setattr(harness, "profile", raising)
+    monkeypatch.setattr(harness, "_build_entry", raising)
     code, out, _ = run(capsys, *argv)
     assert code == 3
     doc = json.loads(out)
