@@ -235,7 +235,6 @@ def _run_one_check(g, check: CheckSpec, cfg: RunConfig) -> list[dict]:
 
 
 def _check_rows(g, check: CheckSpec, cfg: RunConfig) -> list[dict]:
-    prof = profile(g)
     out = []
     if check.kind == "satellite":
         for fname in check.grid:
@@ -260,6 +259,7 @@ def _check_rows(g, check: CheckSpec, cfg: RunConfig) -> list[dict]:
             out.append(_result(rep, check.check_id))
         return out
 
+    prof = profile(g)
     if check.kind == "mann":
         if not prof.soluble:
             return [_skip(check.check_id, g.name, "not soluble")]
