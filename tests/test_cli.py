@@ -160,7 +160,7 @@ def test_lattice_cap_above_default(capsys):
 
 @pytest.mark.parametrize("spec", ["A5 x C17", "C7 x C11 x C13"])
 def test_corpus_above_order_1000(tmp_path, capsys, spec):
-    """A group of order above 1000 runs every check of the full suite."""
+    """A group of order above 1000 gets no error row in the full suite."""
     corpus = tmp_path / "c.json"
     write_corpus([CorpusEntry(spec, spec, ())], corpus)
     code, out, _ = run(capsys, "corpus", "--path", str(corpus), "--format", "json")
