@@ -44,6 +44,20 @@ def o_maximal_in(subgroups, h):
     return {s for s in proper if not any(s < t < h for t in proper)}
 
 
+def o_maximal_positions(subgroups):
+    """For each subgroup in a list of member bitmasks, the ascending
+    positions of its maximal subgroups: the proper subgroups inside it that
+    lie inside no other proper subgroup inside it, by testing every pair."""
+    out = []
+    for h in subgroups:
+        below = [i for i, s in enumerate(subgroups) if s != h and s & h == s]
+        out.append([i for i in below
+                    if not any(subgroups[k] != subgroups[i]
+                               and subgroups[i] & subgroups[k] == subgroups[i]
+                               for k in reversed(below))])
+    return out
+
+
 def o_conjugate(table, inv, s, g):
     return frozenset(table[table[inv[g]][x]][g] for x in s)
 
@@ -56,6 +70,18 @@ def o_inverses(table):
             if table[a][b] == 0:
                 inv[a] = b
     return inv
+
+
+def o_element_orders(table):
+    """The least k >= 1 with x^k = 1, for each element x."""
+    orders = []
+    for x in range(len(table)):
+        k, power = 1, x
+        while power != 0:
+            power = table[power][x]
+            k += 1
+        orders.append(k)
+    return orders
 
 
 def o_is_normal(table, s):

@@ -21,8 +21,8 @@ from formations.structure import subgroup_is_abelian
 
 from conftest import PROPERTY, members, perm_groups, s4_perms, table_of
 from oracle import (o_center, o_centralizer, o_closure, o_conjugate, o_core,
-                    o_derived, o_inverses, o_is_normal, o_normal_closure,
-                    o_normalizer, o_quotient_table)
+                    o_derived, o_element_orders, o_inverses, o_is_normal,
+                    o_normal_closure, o_normalizer, o_quotient_table)
 
 
 @given(st.lists(st.integers(0, 6000)))
@@ -44,6 +44,15 @@ def test_from_generators_s3():
                          Permutation.from_cycles(3, [(0, 1, 2)])], "S3")
     assert g.order == 6
     assert sorted(g.element_orders()) == [1, 2, 2, 2, 3, 3]
+
+
+@PROPERTY
+@given(perm_groups())
+def test_inverses_and_orders_match_oracle(g):
+    """Each element's inverse and order against brute force on the table."""
+    table = table_of(g)
+    assert list(g.inv) == o_inverses(table)
+    assert list(g.element_orders()) == o_element_orders(table)
 
 
 def test_from_generators_identity_only():

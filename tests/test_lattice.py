@@ -13,8 +13,8 @@ from formations.lattice import (_cores, _overgroup_bound, all_subgroups,
 
 from conftest import PROPERTY, perm_groups, table_of
 from oracle import (o_chief_order_multisets, o_fitting, o_frattini,
-                    o_maximal_in, o_n_maximal, o_normal_subgroups,
-                    o_subgroups)
+                    o_maximal_in, o_maximal_positions, o_n_maximal,
+                    o_normal_subgroups, o_subgroups)
 
 
 def bitset(s):
@@ -48,6 +48,14 @@ def test_lattice_matches_oracle(g):
         assert {bitset(lat.subgroups[j]) for j in children} == o_maximal_in(subs, bitset(s))
     for n in (1, 2, 3):
         assert {bitset(s) for s in lat.n_maximal(n)} == o_n_maximal(table, n)
+
+
+@pytest.mark.parametrize("name", ["A5", "S5", "A6", "S6"])
+def test_maximals_match_containment_scan(name):
+    """Every subgroup's maximal subgroups, in groups with many classes of
+    subgroups, against a scan of every pair of subgroups for containment."""
+    lat = all_subgroups(parse_group(name))
+    assert lat.maximals_of == o_maximal_positions([s.bits for s in lat.subgroups])
 
 
 @PROPERTY
