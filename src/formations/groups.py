@@ -163,8 +163,7 @@ class FiniteGroup:
         self.name = name
         self.right_rows: Rows = rows
         self.order = n
-        self.inv = tuple(row.index(0) for row in rows)  # x * y = 1 in row y
-        self._orders: Optional[tuple[int, ...]] = None
+        self.inv, self._orders = _inverses_and_orders(rows)
         self._fingerprint: Optional[str] = None
         self._memo: dict = {}          # per-formation membership and residuals
         self._quotients: dict = {}     # kernel bits -> QuotientGroup
@@ -199,15 +198,6 @@ class FiniteGroup:
         return self._fingerprint
 
     def element_orders(self) -> tuple[int, ...]:
-        if self._orders is None:
-            orders = [1] * self.order
-            for i, row in enumerate(self.right_rows):
-                k, x = 1, i
-                while x:
-                    x = row[x]
-                    k += 1
-                orders[i] = k
-            self._orders = tuple(orders)
         return self._orders
 
     @property
@@ -328,6 +318,26 @@ class FiniteGroup:
                     elems.extend(coset)
                     reps.append(z)
         return True
+
+
+def _inverses_and_orders(rows: Rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each element's inverse and order from one walk of its powers
+    y, y^2, ... in row y: the last power before the identity is y^-1.
+
+    Raises ValueError when some y has no power equal to the identity
+    within |G| steps, which no group table allows.
+    """
+    n = len(rows)
+    inv, orders = [0] * n, [1] * n
+    for y in range(1, n):
+        row, last, x, k = rows[y], 0, y, 1
+        while x:
+            if k == n:
+                raise ValueError(f"element {y} has no power equal to the identity: not a group")
+            last, x = x, row[x]
+            k += 1
+        inv[y], orders[y] = last, k
+    return tuple(inv), tuple(orders)
 
 
 class Subgroup:

@@ -10,10 +10,14 @@ So only one representative per conjugacy class is kept with its element
 list, and it is extended by one Dimino step (`FiniteGroup.extend`) by a
 generator of an extender outside it. A new subgroup brings in its whole
 class: the orbit of its element list under conjugation by the group's
-generators, with its recorded generators mapped along. The covers of each
-representative come from a containment scan and are conjugated along the
-same orbit to the rest of its class, by the image of each subgroup under
-each conjugation action, recorded (bits to bits) as the classes are added.
+generators, with its recorded generators mapped along. The covers (maximal
+subgroups) of the representatives are found by ascending order, so that
+those of every smaller subgroup are known: the subgroups inside a
+representative H are scanned from the largest down, and one outside the down-sets of the covers
+accepted so far is a cover, whose down-set is then marked by walking the
+known covers. Each representative's covers are conjugated along its orbit
+to the rest of its class, by the image of each subgroup under each
+conjugation action, recorded (bits to bits) as the classes are added.
 
 For h in H, <H, C_j^h> = <H, C_j>^h = <H, C_j>, so H takes one Dimino
 step per orbit of the extenders outside it under conjugation by H's
@@ -42,13 +46,14 @@ subgroups, and raise LatticeExceedsCap past it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .arith import factorize, p_part, pi_part, prime_divisors
 from .errors import LatticeExceedsCap
-from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, conjugacy_classes,
-                     conjugates, conjugation_actions, generating_set, indices_of,
-                     normalizer, p_element_bits, product_bits, quotient)
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, _getter,
+                     conjugacy_classes, conjugates, conjugation_actions,
+                     generating_set, indices_of, normalizer, p_element_bits,
+                     product_bits, quotient)
 
 DEFAULT_SUBGROUP_CAP = 100000
 
@@ -172,8 +177,8 @@ class _ClassWalk:
         self.reps: list[tuple[int, list[int], tuple[int, ...]]] = []
         self.orbits: list[list[tuple[int, int, int]]] = []
 
-    def _bits(self, elems: list[int]) -> int:
-        return sum(map(self.pow2.__getitem__, elems))  # members are distinct
+    def _bits(self, elems: Sequence[int]) -> int:
+        return sum(_getter(elems)(self.pow2))  # members are distinct
 
     def _record(self, bits: int, gens: tuple[int, ...]) -> None:
         if len(self.found) >= self.cap:
@@ -189,8 +194,9 @@ class _ClassWalk:
         members, gens_of = [elems], [gens]
         for k, cur in enumerate(members):
             kbits = orbit[k][0]
+            take = _getter(cur)
             for a, act in enumerate(self.actions):
-                image = list(map(act.__getitem__, cur))
+                image = take(act)
                 ibits = self.image[a][kbits] = self._bits(image)
                 if ibits not in self.found:
                     igens = tuple(map(act.__getitem__, gens_of[k]))
@@ -202,13 +208,14 @@ class _ClassWalk:
 
     def covers(self, subs: list[Subgroup]) -> list[list[int]]:
         """maximals_of for the sorted subgroups: each representative's covers
-        by a containment scan, conjugated along its orbit by the images
-        that `add_class` recorded."""
+        by `_covers`, taking the classes by ascending order so that every
+        smaller subgroup's covers are known, then conjugated along its orbit
+        by the images that `add_class` recorded."""
         index_of = {s.bits: i for i, s in enumerate(subs)}
         out: list[list[int]] = [[] for _ in subs]
-        for orbit in self.orbits:
+        for orbit in sorted(self.orbits, key=lambda orbit: orbit[0][0].bit_count()):
             i = index_of[orbit[0][0]]
-            out[i] = _covers(subs, i)
+            out[i] = _covers(subs, i, out)
             images = [[subs[j].bits for j in out[i]]]
             for bits, parent, a in orbit[1:]:
                 mapped = list(map(self.image[a].__getitem__, images[parent]))
@@ -304,19 +311,30 @@ def _overgroup_bound(g: FiniteGroup, cores: list[tuple[int, int, int]],
     return best
 
 
-def _covers(subs: list[Subgroup], i: int) -> list[int]:
-    """Positions of the maximal subgroups of subs[i] (subs sorted by order)."""
-    h = subs[i]
-    below = [j for j in range(i) if h.order % subs[j].order == 0
-             and subs[j].order < h.order
-             and subs[j].bits & h.bits == subs[j].bits]
-    below.sort(key=lambda j: -subs[j].order)
+def _covers(subs: list[Subgroup], i: int, out: list[list[int]]) -> list[int]:
+    """Positions of the maximal subgroups of H = subs[i], subs sorted by
+    order and out holding the maximal subgroups of every smaller subgroup.
+
+    The subgroups inside H are taken from the largest down. One that lies
+    in no maximal subgroup found so far is maximal, and its whole down-set
+    is marked through `out`; every other one is in a marked down-set.
+    """
+    hbits, horder = subs[i].bits, subs[i].order
+    marked = bytearray(i)
     maxima: list[int] = []
-    for j in below:
-        jb = subs[j].bits
-        if not any(jb & subs[k].bits == jb for k in maxima):
-            maxima.append(j)
-    return sorted(maxima)
+    for j in reversed([j for j in range(i) if not horder % subs[j].order
+                       and subs[j].bits & hbits == subs[j].bits]):
+        if marked[j]:
+            continue
+        maxima.append(j)
+        down = [j]
+        while down:
+            for k in out[down.pop()]:
+                if not marked[k]:
+                    marked[k] = 1
+                    down.append(k)
+    maxima.reverse()
+    return maxima
 
 
 # ---------------------------------------------------------------------------

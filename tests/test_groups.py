@@ -46,6 +46,18 @@ def test_from_generators_s3():
     assert sorted(g.element_orders()) == [1, 2, 2, 2, 3, 3]
 
 
+@pytest.mark.parametrize("rows", [
+    ((0, 1, 2), (1, 2, 2), (2, 2, 2)),
+    # every row holds the identity, but the powers of 1 cycle through 1, 2
+    ((0, 1, 2, 3), (1, 2, 1, 0), (2, 3, 0, 1), (3, 0, 1, 2)),
+])
+def test_table_that_is_not_a_group(rows):
+    """A square table with the identity at 0 whose rows are not all
+    permutations is refused, without looping."""
+    with pytest.raises(ValueError, match="not a group"):
+        FiniteGroup("bad", rows)
+
+
 @PROPERTY
 @given(perm_groups())
 def test_inverses_and_orders_match_oracle(g):
