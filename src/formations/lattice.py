@@ -39,8 +39,9 @@ Everything that only needs *normal* subgroups (chief series, Fitting, O_p
 cores) is computed directly from the closures of conjugacy classes instead,
 which keeps membership predicates usable on groups whose full lattice would
 be expensive. A group's order is capped when it is built; the lattice walk
-and the normal subgroups are capped by their output, DEFAULT_SUBGROUP_CAP
-subgroups, and raise LatticeExceedsCap past it.
+and the normal subgroups are capped by their output, the caller's subgroup
+cap or else DEFAULT_SUBGROUP_CAP as it reads when called, and raise
+LatticeExceedsCap past it.
 """
 
 from __future__ import annotations
@@ -115,12 +116,16 @@ class SubgroupLattice:
 
 def all_subgroups(g: FiniteGroup,
                   order_cap: int = DEFAULT_ORDER_CAP,
-                  subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> SubgroupLattice:
+                  subgroup_cap: Optional[int] = None) -> SubgroupLattice:
     """Complete subgroup lattice of g (cached on the group).
 
     Raises LatticeExceedsCap when g has more than order_cap elements or
-    more than subgroup_cap subgroups, whether or not the lattice is cached.
+    more than subgroup_cap subgroups (default DEFAULT_SUBGROUP_CAP), whether
+    or not the lattice is cached. The walk reads g's normal subgroups under
+    the same cap.
     """
+    if subgroup_cap is None:
+        subgroup_cap = DEFAULT_SUBGROUP_CAP
     if g.order > order_cap:
         raise LatticeExceedsCap(f"{g.name}: order {g.order} exceeds lattice cap {order_cap}")
     if g._lattice is not None:
@@ -137,7 +142,7 @@ def all_subgroups(g: FiniteGroup,
         if bits not in walk.found and len(prime_divisors(bits.bit_count())) == 1:
             walk.add_class(indices_of(bits), bits, (x,))
     ext = _Extenders(g, [gens[0] for bits, gens in walk.found.items() if bits != 1])
-    cores = _cores(g)
+    cores = _cores(g, subgroup_cap)
 
     # extend each class representative H by one C_j per H-orbit outside it
     for hbits, helems, hgens in walk.reps:  # grows while read
@@ -271,12 +276,13 @@ class _Extenders:
             yield orbit
 
 
-def _cores(g: FiniteGroup) -> list[tuple[int, int, int]]:
+def _cores(g: FiniteGroup, subgroup_cap: Optional[int] = None) -> list[tuple[int, int, int]]:
     """(bits, order, d) for each proper normal subgroup N of g, largest
     first, d the least m with [G:N] dividing m!: G acts on the m cosets of
-    a subgroup of index m with a kernel N, so G/N embeds in S_m."""
+    a subgroup of index m with a kernel N, so G/N embeds in S_m. The normal
+    subgroups are capped as in `normal_subgroups`."""
     out = []
-    for nsub in reversed(normal_subgroups(g)[:-1]):
+    for nsub in reversed(normal_subgroups(g, subgroup_cap)[:-1]):
         index, m, fact = g.order // nsub.order, 1, 1
         while fact % index:
             m += 1
@@ -353,23 +359,27 @@ def _normal_atoms(g: FiniteGroup) -> list[int]:
     return atoms
 
 
-def normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
+def normal_subgroups(g: FiniteGroup, subgroup_cap: Optional[int] = None) -> list[Subgroup]:
     """All normal subgroups of g, sorted by (order, bits).
 
     Computed as the join closure of the normal closures of cyclic subgroups,
     adding one closure at a time; every normal subgroup is a join of such
     closures, and the join of two normal subgroups is their product.
-    Raises LatticeExceedsCap once the closure holds more than
-    DEFAULT_SUBGROUP_CAP subgroups.
+    Raises LatticeExceedsCap when g has more than subgroup_cap (default
+    DEFAULT_SUBGROUP_CAP) normal subgroups, whether or not they are cached.
     """
+    if subgroup_cap is None:
+        subgroup_cap = DEFAULT_SUBGROUP_CAP
     cached = g._memo.get("normal_subgroups")
     if cached is not None:
+        if len(cached) > subgroup_cap:
+            raise LatticeExceedsCap(f"{g.name}: more than {subgroup_cap} normal subgroups")
         return cached
     known = {1}
     for a in _normal_atoms(g):  # the joins of the atoms so far, with a
         known |= {product_bits(g, n, a) for n in known if a & n != a}
-        if len(known) > DEFAULT_SUBGROUP_CAP:
-            raise LatticeExceedsCap(f"{g.name}: more than {DEFAULT_SUBGROUP_CAP} normal subgroups")
+        if len(known) > subgroup_cap:
+            raise LatticeExceedsCap(f"{g.name}: more than {subgroup_cap} normal subgroups")
     subs = [Subgroup(g, b) for b in sorted(known, key=lambda b: (b.bit_count(), b))]
     g._memo["normal_subgroups"] = subs
     return subs

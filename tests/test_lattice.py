@@ -305,6 +305,21 @@ def test_subgroup_cap():
     assert all_subgroups(g, subgroup_cap=30) is all_subgroups(g)
 
 
+def test_subgroup_cap_reaches_normal_subgroups(monkeypatch):
+    """The cap given to all_subgroups also caps the normal subgroups its
+    walk reads, and an omitted cap is the default as it reads at the call."""
+    import formations.lattice as lattice
+
+    monkeypatch.setattr(lattice, "DEFAULT_SUBGROUP_CAP", 5)
+    g = parse_group("C2 x C2 x C2 x C2")
+    assert len(all_subgroups(g, subgroup_cap=1000).subgroups) == 67
+    assert len(normal_subgroups(g, 1000)) == 67
+    with pytest.raises(LatticeExceedsCap):
+        all_subgroups(g)
+    with pytest.raises(LatticeExceedsCap):
+        normal_subgroups(g)
+
+
 def test_s6_lattice():
     """S6: 1455 subgroups in 56 classes; its maximal subgroups are A6, the
     12 S5 (two classes, swapped by the outer automorphism), the 10 of order
