@@ -13,7 +13,6 @@ quotient group itself. Both are memoized.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import gcd
@@ -33,8 +32,7 @@ from .groups import (FiniteGroup, Subgroup, as_group, center, centralizer,
                      map_bits_from_sub, normalizer,
                      p_element_bits, product_bits, quotient, subquotient)
 from .lattice import (ChiefFactor, all_subgroups, fitting, frattini, hall,
-                      minimal_normal_subgroups, normal_subgroups,
-                      sylow_conjugates)
+                      minimal_normal_subgroups, normal_subgroups)
 from .structure import (dispersiveness, has_normal_sylow, induced_action,
                         is_miller_moreno, is_phi_dispersive, is_schmidt,
                         is_subnormal, profile, subgroup_is_abelian,
@@ -152,9 +150,6 @@ class ClassificationOutcome:
         }
 
 
-_CONJUGATE_SAMPLES = 2  # conjugate Sylow subgroups re-checked per II(2) pass
-
-
 def classify_type(g: FiniteGroup, n: int, f: Formation) -> ClassificationOutcome:
     """Type the group against the two shapes of the classification theorem.
 
@@ -189,7 +184,7 @@ def classify_type(g: FiniteGroup, n: int, f: Formation) -> ClassificationOutcome
     shape = _residual_shape(g, a, f, failures, notes)
     # II(2) presupposes a nilpotent residual; its p-elements form no subgroup otherwise
     if subgroup_is_nilpotent(a):
-        ii2 = _ii2_checks(g, a, n, f, failures, notes)
+        ii2 = _ii2_checks(g, a, n, f, failures)
     else:
         ii2 = ()
 
@@ -237,39 +232,25 @@ def _residual_shape(g, a, f, failures, notes) -> Optional[str]:
     return "special_sylow_p"
 
 
-def _ii2_checks(g, a, n, f, failures, notes) -> list[str]:
+def _ii2_checks(g, a, n, f, failures) -> list[str]:
     """Condition II(2): each n-maximal H lies in F and induces on every Sylow
     p-subgroup of A (inside A*H, which fixes the same quotient H/C_H(P)) an
-    automorphism group in F(p)."""
+    automorphism group in F(p). A is nilpotent, so its p-elements form its
+    only Sylow p-subgroup."""
     lat = all_subgroups(g)
     records = []
-    rng = random.Random(0xA5)
     for h in lat.n_maximal(n):
         if not subgroup_member(f, h):
             failures.append(f"n-maximal subgroup ({h.describe()}) is outside the class")
             continue
         for p in prime_divisors(a.order):
-            pbits = p_element_bits(g, p, a.bits)
-            psub = Subgroup(g, pbits)
+            psub = Subgroup(g, p_element_bits(g, p, a.bits))
             verdict = _action_in_satellite(g, h, psub, f, p)
             records.append(f"H order {h.order}, p={p}: {'ok' if verdict else 'fail'}")
             if not verdict:
                 failures.append(
                     f"action of n-maximal subgroup (order {h.order}) on the Sylow "
                     f"{p}-subgroup of the residual falls outside F({p})")
-            else:
-                # sample conjugate Sylow subgroups; report (not fail) any discrepancy
-                pool = sylow_conjugates(as_group(a), p) if not a.is_full else []
-                rng.shuffle(pool)
-                for c in pool[:_CONJUGATE_SAMPLES]:
-                    cbits = map_bits_from_sub(a, c.bits)
-                    if cbits == pbits:
-                        continue
-                    alt = _action_in_satellite(g, h, Subgroup(g, cbits), f, p)
-                    if alt != verdict:
-                        notes.append(
-                            f"conjugate Sylow {p}-subgroup gives a different verdict "
-                            f"for H of order {h.order}")
     return records
 
 
