@@ -13,11 +13,12 @@ class: the orbit of its element list under conjugation by the group's
 generators, with its recorded generators mapped along. The covers (maximal
 subgroups) of the representatives are found by ascending order, so that
 those of every smaller subgroup are known: the subgroups inside a
-representative H are scanned from the largest down, and one outside the down-sets of the covers
-accepted so far is a cover, whose down-set is then marked by walking the
-known covers. Each representative's covers are conjugated along its orbit
-to the rest of its class, by the image of each subgroup under each
-conjugation action, recorded (bits to bits) as the classes are added.
+representative H are scanned from the largest down, and one outside the
+down-sets of the covers accepted so far is a cover, whose down-set is then
+marked by walking the known covers. Each representative's covers are
+conjugated along its orbit to the rest of its class, by the image of each
+subgroup under each conjugation action, recorded (bits to bits) as the
+classes are added.
 
 For h in H, <H, C_j^h> = <H, C_j>^h = <H, C_j>, so H takes one Dimino
 step per orbit of the extenders outside it under conjugation by H's

@@ -52,8 +52,8 @@ def test_from_generators_s3():
     ((0, 1, 2, 3), (1, 2, 1, 0), (2, 3, 0, 1), (3, 0, 1, 2)),
 ])
 def test_table_that_is_not_a_group(rows):
-    """A square table with the identity at 0 whose rows are not all
-    permutations is refused, without looping."""
+    """A square table with the identity at 0 in which the powers of some
+    element never reach the identity is refused, without looping."""
     with pytest.raises(ValueError, match="not a group"):
         FiniteGroup("bad", rows)
 
