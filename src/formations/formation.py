@@ -32,8 +32,8 @@ from .groups import (FiniteGroup, Subgroup, as_group, bits_of, core_bits,
                      derived_bits, quotient, subquotient)
 from .lattice import (ChiefFactor, all_subgroups, chief_series,
                       minimal_normal_subgroups, normal_subgroups)
-from .structure import (is_nilpotent, is_soluble, is_supersoluble,
-                        nilpotent_length, subgroup_is_nilpotent)
+from .structure import (is_soluble, is_supersoluble, nilpotent_length,
+                        subgroup_is_nilpotent)
 
 MSL_UNBOUNDED = 10**9  # sentinel for "n-multiply saturated for every n"
 
@@ -47,6 +47,11 @@ class Formation:
     `nl_bound` is a known r with F contained in N^r (None when unbounded or
     unknown); `contains_nilpotent` / `within_supersoluble` bound the class
     between N and U where known. None always means "unknown".
+
+    `subgroup_test`, when set, decides membership of a subgroup from its
+    parent's tables, so `subgroup_member` never materializes the subgroup
+    for it; `test` is then that predicate applied to `g.full_subgroup()`
+    (see `_in_parent`), one implementation for both.
     """
 
     name: str
@@ -59,6 +64,7 @@ class Formation:
     within_supersoluble: Optional[bool] = None
     nl_bound: Optional[int] = None
     satellite_fn: Optional[Callable[[int], "Formation"]] = field(default=None, compare=False)
+    subgroup_test: Optional[Callable[[Subgroup], bool]] = field(default=None, compare=False)
 
     def __repr__(self):
         return f"Formation({self.name})"
@@ -79,11 +85,22 @@ def member(f: Formation, g: FiniteGroup) -> bool:
 
 
 def subgroup_member(f: Formation, h: Subgroup) -> bool:
+    """H in F for a subgroup H. A proper H is decided in its parent by
+    `f.subgroup_test` when F has one (N, Gp(p)); otherwise H is
+    materialized (`as_group`) and its membership memoized there, which
+    sections with equal tables share."""
     if h.is_trivial:
         return True
     if h.is_full:
         return member(f, h.parent)
+    if f.subgroup_test is not None:
+        return f.subgroup_test(h)
     return member(f, as_group(h))
+
+
+def _in_parent(subgroup_test: Callable[[Subgroup], bool]) -> Callable[[FiniteGroup], bool]:
+    """The whole-group test of a formation decided in the parent's tables."""
+    return lambda g: subgroup_test(g.full_subgroup())
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +111,14 @@ def p_groups(p: int) -> Formation:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
-    def test(g: FiniteGroup, _p=p) -> bool:
-        return g.order == p_part(g.order, _p)
+    def subgroup_test(h: Subgroup, _p=p) -> bool:
+        return h.order == p_part(h.order, _p)
 
     return Formation(
-        name=f"Gp({p})", key=f"Gp({p})", test=test,
+        name=f"Gp({p})", key=f"Gp({p})", test=_in_parent(subgroup_test),
         hereditary=True, saturated=True, msl=MSL_UNBOUNDED,
         contains_nilpotent=False, within_supersoluble=True, nl_bound=1,
+        subgroup_test=subgroup_test,
     )
 
 
@@ -120,10 +138,10 @@ def abelian_exponent(m: int) -> Formation:
 
 
 NILPOTENT = Formation(
-    name="N", key="N", test=is_nilpotent,
+    name="N", key="N", test=_in_parent(subgroup_is_nilpotent),
     hereditary=True, saturated=True, msl=MSL_UNBOUNDED,
     contains_nilpotent=True, within_supersoluble=True, nl_bound=1,
-    satellite_fn=p_groups,
+    satellite_fn=p_groups, subgroup_test=subgroup_is_nilpotent,
 )
 
 SUPERSOLUBLE = Formation(

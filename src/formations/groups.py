@@ -144,7 +144,11 @@ class FiniteGroup:
 
     The table is `right_rows`: `right_rows[y][x]` is the index of x*y.
     `generators` always generates the group: when none are given, a small
-    generating set is computed (`generating_set`). Immutable after
+    generating set is computed (`generating_set`). A table given without
+    generators comes from outside the package (`from_generators`,
+    `direct_product` and `_section` pass them), so only then is every row
+    checked to be a permutation of the elements, at O(n^2); a failing table
+    raises ValueError. Immutable after
     construction; memo dictionaries hang off the instance and only ever
     grow, so sharing across threads is safe per the package's single-writer
     contract.
@@ -160,6 +164,10 @@ class FiniteGroup:
             raise ValueError("Cayley table must be square")
         if rows[0] != tuple(range(n)) or any(row[0] != y for y, row in enumerate(rows)):
             raise ValueError("identity must sit at index 0")
+        if generators is None:  # a table from outside: check it once
+            everyone = set(range(n))
+            if any(set(row) != everyone for row in rows):
+                raise ValueError("some row is not a permutation of the elements: not a group")
         self.name = name
         self.right_rows: Rows = rows
         self.order = n
@@ -704,7 +712,10 @@ def as_group(h: Subgroup) -> FiniteGroup:
     is the embedding `map_bits_to_sub` and `map_bits_from_sub` apply. The
     result is the section of the parent's root with this table
     (`_section`), so subgroups with equal tables, and a quotient with the
-    same table, share one group and its memos.
+    same table, share one group and its memos. Building it costs |H|^2
+    table entries, so questions that the parent's tables answer
+    (`formation.subgroup_member` for N and Gp(p), `subquotient`) do not
+    call it.
     """
     g = h.parent
     if h.is_full:
@@ -727,10 +738,49 @@ def as_group(h: Subgroup) -> FiniteGroup:
 
 
 def subquotient(h: Subgroup, kbits: int) -> QuotientGroup:
-    """H/K for a normal subgroup K of h given by its bitmask in h's parent:
-    the quotient of `as_group(h)` by K's local bits."""
-    hgrp = as_group(h)
-    return quotient(hgrp, Subgroup(hgrp, map_bits_to_sub(h, kbits)))
+    """H/K for a normal subgroup K of h given by its bitmask in h's parent,
+    built from the parent's rows without materializing H.
+
+    The result is `quotient(as_group(h), K)` row for row: the cosets K*x
+    are taken for x in h.members ascending, numbered by first appearance,
+    and the projection is indexed locally as in `as_group(h)`. So the base
+    is the same registered section (`_section`), at (|H|/|K|)^2 table
+    entries instead of |H|^2. Raises NotNormal when h's generators do not
+    normalize K. Memoized per (H, K) on the parent; when H is the parent
+    this is `quotient`, and H/1 is `as_group(h)`.
+    """
+    g = h.parent
+    if h.is_full:
+        return quotient(g, Subgroup(g, kbits))
+    key = ("subquotient", h.bits, kbits)
+    q = g._memo.get(key)
+    if q is not None:
+        return q
+    if kbits & h.bits != kbits:
+        raise ValueError("K is not inside H")
+    kmem = indices_of(kbits)
+    take = _getter(kmem)
+    if any(bits_of(take(g.conjugation_row(x))) != kbits for x in h.gens):
+        raise NotNormal(f"subgroup of order {len(kmem)} is not normal in a subgroup "
+                        f"of order {h.order} of {g.name}")
+    if kbits == 1:
+        q = QuotientGroup(base=as_group(h), projection=tuple(range(h.order)))
+    else:
+        rows = g.right_rows
+        coset_of = [-1] * g.order
+        reps = []
+        for x in h.members:
+            if coset_of[x] < 0:
+                for y in take(rows[x]):  # K*x = x*K
+                    coset_of[y] = len(reps)
+                reps.append(x)
+        at_reps = _getter(reps)
+        qrows = [_getter(at_reps(rows[y]))(coset_of) for y in reps]
+        gens = sorted(set(coset_of[x] for x in h.gens) - {0})
+        q = QuotientGroup(base=_section(g, qrows, gens),
+                          projection=_getter(h.members)(coset_of))
+    g._memo[key] = q
+    return q
 
 
 def _section(g: FiniteGroup, rows: Sequence[tuple[int, ...]], gens: Sequence[int]) -> FiniteGroup:

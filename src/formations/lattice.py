@@ -489,11 +489,6 @@ def sylow(g: FiniteGroup, p: int) -> Subgroup:
     return out
 
 
-def sylow_conjugates(g: FiniteGroup, p: int) -> list[Subgroup]:
-    """All Sylow p-subgroups (the conjugacy orbit of sylow(g, p))."""
-    return [Subgroup(g, b) for b in sorted(conjugates(g, sylow(g, p).bits))]
-
-
 def hall(g: FiniteGroup, primes) -> Optional[Subgroup]:
     """A subgroup whose order is the pi-part of |G|, or None.
 

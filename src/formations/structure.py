@@ -43,7 +43,7 @@ def has_normal_sylow(g: FiniteGroup, p: int) -> Optional[Subgroup]:
 
 
 def is_nilpotent(g: FiniteGroup) -> bool:
-    return all(has_normal_sylow(g, p) is not None for p in g.pi())
+    return subgroup_is_nilpotent(g.full_subgroup())
 
 
 def is_soluble(g: FiniteGroup) -> bool:
@@ -87,6 +87,10 @@ def profile(g: FiniteGroup) -> StructureProfile:
 
 # ---------------------------------------------------------------------------
 # subgroup-level shortcuts (work off the parent's tables, no materialization)
+#
+# `subgroup_is_nilpotent` is also the whole-group test (`is_nilpotent` reads
+# it on `g.full_subgroup()`) and N's `Formation.subgroup_test`, so
+# `formation.subgroup_member(N, H)` never builds H's table.
 
 
 def subgroup_is_nilpotent(h: Subgroup) -> bool:

@@ -10,13 +10,14 @@ from formations.formation import (BUILTINS, MSL_UNBOUNDED, NILPOTENT,
                                   is_f_critical, is_f_normal_maximal,
                                   is_f_subnormal, local_membership, member,
                                   p_groups, product, residual,
-                                  sigma_closure_check)
-from formations.groups import Permutation, as_group, center, from_generators
+                                  sigma_closure_check, subgroup_member)
+from formations.groups import (Permutation, Subgroup, as_group, bits_of,
+                               center, commutator_subgroup, from_generators)
 from formations.lattice import all_subgroups, chief_series, sylow
 
 from conftest import PROPERTY, members, perm_groups, table_of
 from oracle import (o_chief_order_multisets, o_f_subnormal, o_is_nilpotent,
-                    o_is_supersoluble, o_residual, o_sub_table)
+                    o_is_supersoluble, o_residual, o_sub_table, o_subgroups)
 
 N, U, S, N2 = BUILTINS["N"], BUILTINS["U"], BUILTINS["S"], BUILTINS["N^2"]
 
@@ -262,6 +263,29 @@ def test_f_subnormal_below_subgroup_uses_parent_lattice():
     for k in proper:
         f_subnormal_bits(s4, U, k)
     assert all(as_group(k)._lattice is None for k in proper)
+
+
+@PROPERTY
+@given(perm_groups())
+def test_subgroup_member_matches_materialized(g):
+    """Membership of every subgroup read in the parent (N and Gp(p) by
+    their subgroup tests, the rest through as_group) agrees with
+    membership of the subgroup built as a group of its own."""
+    assume(g.order <= 24)
+    classes = [*BUILTINS.values(), *(p_groups(p) for p in g.pi())]
+    for s in o_subgroups(table_of(g)):
+        h = Subgroup(g, bits_of(s))
+        for f in classes:
+            assert subgroup_member(f, h) == member(f, as_group(h)), (f.name, h.order)
+
+
+def test_local_membership_reads_residual_in_parent():
+    """N^2's satellite at 2 asks whether S6's nilpotent residual A6 is a
+    2-group; that is read from A6's order, so A6 is never materialized."""
+    s6 = parse_group("S6")
+    assert not local_membership(s6, N2)
+    a6 = commutator_subgroup(s6)
+    assert a6.order == 360 and a6.bits not in s6._materialized
 
 
 def _chain_exists(g, lat, h, f):

@@ -50,10 +50,13 @@ def test_from_generators_s3():
     ((0, 1, 2), (1, 2, 2), (2, 2, 2)),
     # every row holds the identity, but the powers of 1 cycle through 1, 2
     ((0, 1, 2, 3), (1, 2, 1, 0), (2, 3, 0, 1), (3, 0, 1, 2)),
+    # every element squares to the identity, but rows 1 and 2 repeat 0
+    ((0, 1, 2), (1, 0, 0), (2, 0, 0)),
 ])
 def test_table_that_is_not_a_group(rows):
-    """A square table with the identity at 0 in which the powers of some
-    element never reach the identity is refused, without looping."""
+    """A square table with the identity at 0 that is not a group is
+    refused with ValueError, without looping: given no generators, every
+    row must be a permutation of the elements."""
     with pytest.raises(ValueError, match="not a group"):
         FiniteGroup("bad", rows)
 

@@ -2,11 +2,13 @@
 Cayley table among a root and the groups derived from it, checked against
 the brute-force oracle on random permutation groups of degree at most 6."""
 
+import pytest
 from hypothesis import assume, given
 
 from formations.dsl import parse_group
+from formations.errors import NotNormal
 from formations.groups import (Subgroup, as_group, bits_of, map_bits_from_sub,
-                               map_bits_to_sub, quotient)
+                               map_bits_to_sub, quotient, subquotient)
 from formations.lattice import all_subgroups
 
 from conftest import PROPERTY, members, perm_groups, table_of
@@ -73,6 +75,44 @@ def test_one_group_per_table(g):
     for nset in o_normal_subgroups(table_of(g)):
         base = quotient(g, Subgroup(g, bits_of(nset))).base
         assert seen.setdefault(base.right_rows, base) is base
+
+
+@PROPERTY
+@given(perm_groups())
+def test_subquotient_matches_oracle(g):
+    """For every subgroup H and every K normal in H: subquotient(H, K),
+    built from g's rows, has the oracle's coset table of as_group(H) by K,
+    is the registered group quotient(as_group(H), K) gives and has its
+    projection; a K not normal in H raises NotNormal."""
+    assume(g.order <= 24)
+    for s in o_subgroups(table_of(g)):
+        h = Subgroup(g, bits_of(s))
+        hgrp = as_group(h)
+        local = table_of(hgrp)
+        normal = o_normal_subgroups(local)
+        for kset in o_subgroups(local):
+            kbits = map_bits_from_sub(h, bits_of(kset))
+            if kset not in normal:
+                with pytest.raises(NotNormal):
+                    subquotient(h, kbits)
+                continue
+            q = subquotient(h, kbits)
+            want = quotient(hgrp, Subgroup(hgrp, bits_of(kset)))
+            assert table_of(q.base) == o_quotient_table(local, kset)
+            assert q.base is want.base and q.projection == want.projection
+
+
+def test_subquotient_builds_no_subgroup_table():
+    """H/K for a proper H and a nontrivial K leaves H unmaterialized; a
+    K that is not inside H is refused."""
+    g = parse_group("S4")
+    h = next(h for h in all_subgroups(g).subgroups if h.order == 8)
+    k = next(k for k in all_subgroups(g).subgroups
+             if k.order == 4 and k.bits & h.bits == k.bits)
+    assert subquotient(h, k.bits).base.order == 2
+    assert h.bits not in g._materialized
+    with pytest.raises(ValueError, match="not inside"):
+        subquotient(k, h.bits)
 
 
 def test_klein_four_subgroups_share_one_group():
