@@ -590,8 +590,13 @@ def conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    take = _getter(h.members)
-    return all(bits_of(take(act)) == h.bits for act in conjugation_actions(g))
+    return _normalized(g, g.generators, h)
+
+
+def _normalized(g: FiniteGroup, gens: Sequence[int], k: Subgroup) -> bool:
+    """Whether conjugation by each of gens maps k onto itself."""
+    take = _getter(k.members)
+    return all(bits_of(take(g.conjugation_row(x))) == k.bits for x in gens)
 
 
 def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
@@ -689,20 +694,30 @@ def quotient(g: FiniteGroup, n: Subgroup) -> QuotientGroup:
     if n.is_trivial:
         q = QuotientGroup(base=g, projection=tuple(range(g.order)))
     else:
-        rows, coset = g.right_rows, _getter(n.members)
-        coset_of = [-1] * g.order
-        reps = []
-        for i in range(g.order):
-            if coset_of[i] < 0:
-                for x in coset(rows[i]):  # N*i = i*N
-                    coset_of[x] = len(reps)
-                reps.append(i)
-        at_reps = _getter(reps)
-        qrows = [_getter(at_reps(rows[y]))(coset_of) for y in reps]
-        gens = sorted(set(coset_of[x] for x in g.generators) - {0})
-        q = QuotientGroup(base=_section(g, qrows, gens), projection=tuple(coset_of))
+        q = _coset_quotient(g, range(g.order), g.generators, n.members)
     g._quotients[n.bits] = q
     return q
+
+
+def _coset_quotient(g: FiniteGroup, members: Sequence[int], gens: Sequence[int],
+                    kmem: Sequence[int]) -> QuotientGroup:
+    """H/K in g's table, for H given by its ascending members and its
+    generators and K, normal in H, by its members. The cosets K*x are
+    taken for x in members ascending and numbered by first appearance; the
+    projection is indexed by position in members."""
+    rows, coset = g.right_rows, _getter(kmem)
+    coset_of = [-1] * g.order
+    reps = []
+    for x in members:
+        if coset_of[x] < 0:
+            for y in coset(rows[x]):  # K*x = x*K
+                coset_of[y] = len(reps)
+            reps.append(x)
+    at_reps = _getter(reps)
+    qrows = [_getter(at_reps(rows[y]))(coset_of) for y in reps]
+    qgens = sorted(set(coset_of[x] for x in gens) - {0})
+    projection = coset_of if len(members) == g.order else _getter(members)(coset_of)
+    return QuotientGroup(base=_section(g, qrows, qgens), projection=tuple(projection))
 
 
 def as_group(h: Subgroup) -> FiniteGroup:
@@ -758,27 +773,14 @@ def subquotient(h: Subgroup, kbits: int) -> QuotientGroup:
         return q
     if kbits & h.bits != kbits:
         raise ValueError("K is not inside H")
-    kmem = indices_of(kbits)
-    take = _getter(kmem)
-    if any(bits_of(take(g.conjugation_row(x))) != kbits for x in h.gens):
-        raise NotNormal(f"subgroup of order {len(kmem)} is not normal in a subgroup "
-                        f"of order {h.order} of {g.name}")
-    if kbits == 1:
+    k = Subgroup(g, kbits)
+    if not _normalized(g, h.gens, k):
+        raise NotNormal(f"subgroup of order {k.order} is not normal in a "
+                        f"subgroup of order {h.order} of {g.name}")
+    if k.is_trivial:
         q = QuotientGroup(base=as_group(h), projection=tuple(range(h.order)))
     else:
-        rows = g.right_rows
-        coset_of = [-1] * g.order
-        reps = []
-        for x in h.members:
-            if coset_of[x] < 0:
-                for y in take(rows[x]):  # K*x = x*K
-                    coset_of[y] = len(reps)
-                reps.append(x)
-        at_reps = _getter(reps)
-        qrows = [_getter(at_reps(rows[y]))(coset_of) for y in reps]
-        gens = sorted(set(coset_of[x] for x in h.gens) - {0})
-        q = QuotientGroup(base=_section(g, qrows, gens),
-                          projection=_getter(h.members)(coset_of))
+        q = _coset_quotient(g, h.members, h.gens, k.members)
     g._memo[key] = q
     return q
 
