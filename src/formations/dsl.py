@@ -26,7 +26,7 @@ from .errors import (ClosureExceedsCap, DslSemanticError, DslSyntaxError,
 from .formation import (Formation, abelian_exponent, intersection, p_groups,
                         product, soluble_length_formation, NILPOTENT,
                         SUPERSOLUBLE, SOLUBLE)
-from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Permutation,
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Permutation, cyclic,
                      direct_product, from_generators)
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def _build_builtin(token: str, name: Optional[str], cap: int) -> FiniteGroup:
             raise UnknownBuiltin(f"C{n}: order must be positive")
         if n > cap:
             raise ClosureExceedsCap(f"C{n} exceeds cap {cap}")
-        return from_generators([Permutation.from_cycles(n, [tuple(range(n))])], label, cap=cap)
+        return cyclic(n, label)
     m = re.fullmatch(r"D(\d+)", token)
     if m:
         k = int(m.group(1))

@@ -329,22 +329,33 @@ class FiniteGroup:
 
 
 def _inverses_and_orders(rows: Rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Each element's inverse and order from one walk of its powers
-    y, y^2, ... in row y: the last power before the identity is y^-1.
+    """Each element's inverse and order, from one walk of powers per cyclic
+    subgroup: the powers y, y^2, ... of an element y not yet settled are
+    read off row y up to y^o = 1, and each y^i then has order o/gcd(i, o)
+    and inverse y^(o-i). So a cyclic group costs one walk of |G| steps,
+    not the sum of its element orders.
 
     Raises ValueError when some y has no power equal to the identity
     within |G| steps, which no group table allows.
     """
     n = len(rows)
-    inv, orders = [0] * n, [1] * n
+    inv, orders = [0] * n, [0] * n
+    orders[0] = 1
     for y in range(1, n):
-        row, last, x, k = rows[y], 0, y, 1
+        if orders[y]:
+            continue
+        row = rows[y]
+        powers, x = [0, y], row[y]
         while x:
-            if k == n:
+            if len(powers) == n:
                 raise ValueError(f"element {y} has no power equal to the identity: not a group")
-            last, x = x, row[x]
-            k += 1
-        inv[y], orders[y] = last, k
+            powers.append(x)
+            x = row[x]
+        o = len(powers)
+        for i in range(1, o):
+            x = powers[i]
+            if not orders[x]:
+                orders[x], inv[x] = o // gcd(i, o), powers[o - i]
     return tuple(inv), tuple(orders)
 
 
@@ -373,9 +384,15 @@ class Subgroup:
 
     @property
     def gens(self) -> tuple[int, ...]:
-        """A small generating set (`generating_set`, if none was recorded)."""
+        """A small generating set: the one recorded, or else `generating_set`,
+        memoized per bits on the parent so that every Subgroup built from the
+        same bare bits shares one computation."""
         if self._gens is None:
-            self._gens = generating_set(self.parent, self.members, self.bits)
+            memo, key = self.parent._memo, ("gens", self.bits)
+            gens = memo.get(key)
+            if gens is None:
+                gens = memo[key] = generating_set(self.parent, self.members, self.bits)
+            self._gens = gens
         return self._gens
 
     def contains(self, i: int) -> bool:
@@ -467,6 +484,15 @@ def from_generators(gens: Sequence[Permutation], name: str,
         rows.append(_getter(rows[parent[k]])(right[via[k]]))
     gen_idx = [index[g.images] for g in gens]
     return FiniteGroup(name, rows, generators=gen_idx)
+
+
+def cyclic(n: int, name: str) -> FiniteGroup:
+    """Cyclic group of order n, element k standing for the k-th power of
+    the generator 1 (generators [0] when n = 1): row k is x -> x + k mod n.
+    This is the table, generators and name that `from_generators` gives for
+    the n-cycle, built without enumerating n-tuples."""
+    rows = [tuple(chain(range(k, n), range(k))) for k in range(n)]
+    return FiniteGroup(name, rows, generators=[1] if n > 1 else [0])
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, name: Optional[str] = None,
@@ -724,13 +750,12 @@ def as_group(h: Subgroup) -> FiniteGroup:
     """Materialize a subgroup as a standalone group, memoized on the parent.
 
     Local index i of the result stands for parent index h.members[i]: that
-    is the embedding `map_bits_to_sub` and `map_bits_from_sub` apply. The
-    result is the section of the parent's root with this table
-    (`_section`), so subgroups with equal tables, and a quotient with the
-    same table, share one group and its memos. Building it costs |H|^2
-    table entries, so questions that the parent's tables answer
-    (`formation.subgroup_member` for N and Gp(p), `subquotient`) do not
-    call it.
+    is the embedding `map_bits_from_sub` applies. The result is the section
+    of the parent's root with this table (`_section`), so subgroups with
+    equal tables, and a quotient with the same table, share one group and
+    its memos. Building it costs |H|^2 table entries, so questions that the
+    parent's tables answer (`formation.subgroup_member` for N and Gp(p),
+    `subquotient`) do not call it.
     """
     g = h.parent
     if h.is_full:
@@ -809,14 +834,6 @@ def _section(g: FiniteGroup, rows: Sequence[tuple[int, ...]], gens: Sequence[int
         sec._registry = registry
         registry[rows] = sec
     return sec
-
-
-def map_bits_to_sub(h: Subgroup, bits: int) -> int:
-    """Translate a parent-indexed bitmask (a subset of h) into the indexing
-    of as_group(h), where local index i is h.members[i]."""
-    if h.is_full:
-        return bits
-    return bits_of(i for i, x in enumerate(h.members) if bits >> x & 1)
 
 
 def map_bits_from_sub(h: Subgroup, bits: int) -> int:

@@ -92,9 +92,66 @@ def write_corpus(entries, path) -> None:
 
 
 def report_dumps(report: dict) -> str:
-    """Canonical serialization: sorted keys, fixed separators, trailing newline."""
-    doc = {"schema": REPORT_SCHEMA, **report}
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Canonical serialization: the bytes of `json.dumps(doc, sort_keys=True,
+    indent=2, separators=(",", ": "))` plus a trailing newline, written by
+    one recursive function (`_put_json`) instead of json's pure-Python
+    generator chain, which `indent` selects.
+
+    A report holds dicts with str keys, lists, tuples (written as lists),
+    str, int, float, bool and None, each of exactly that type; anything
+    else raises TypeError.
+    """
+    out: list[str] = []
+    _put_json({"schema": REPORT_SCHEMA, **report}, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _put_json(o, nl: str, put) -> None:
+    """Write o as json.dumps does with indent=2, at the nesting level whose
+    line break and indentation is nl."""
+    t = type(o)
+    if t is str:
+        put(_quote(o))
+    elif t is dict:
+        if not o:
+            put("{}")
+            return
+        inner, sep = nl + "  ", "{"
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"report key {key!r} is not a str")
+            put(sep + inner + _quote(key) + ": ")
+            _put_json(o[key], inner, put)
+            sep = ","
+        put(nl + "}")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif t is int:
+        put(int.__repr__(o))
+    elif o is None:
+        put("null")
+    elif t is list or t is tuple:
+        if not o:
+            put("[]")
+            return
+        inner, sep = nl + "  ", "["
+        for item in o:
+            put(sep + inner)
+            _put_json(item, inner, put)
+            sep = ","
+        put(nl + "]")
+    elif t is float:
+        put("NaN" if o != o else "Infinity" if o == _INF else "-Infinity" if o == -_INF
+            else float.__repr__(o))
+    else:
+        raise TypeError(f"{t.__name__} is not written in a report: {o!r}")
+
+
+_quote = json.encoder.encode_basestring_ascii  # the function json.dumps calls
+_INF = float("inf")
 
 
 def write_report(report: dict, path) -> None:

@@ -295,3 +295,12 @@ def o_f_subnormal(table, pred):
                 good.add(h)
                 work.append(h)
     return good
+
+
+def map_bits_to_sub(h, bits):
+    """Translate a bitmask in the indexing of h's parent (a subset of the
+    Subgroup h) into the indexing of as_group(h), where local index i is
+    h.members[i]: the inverse of `groups.map_bits_from_sub`."""
+    if h.is_full:
+        return bits
+    return sum(1 << i for i, x in enumerate(h.members) if bits >> x & 1)

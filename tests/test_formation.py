@@ -16,8 +16,9 @@ from formations.groups import (Permutation, Subgroup, as_group, bits_of,
 from formations.lattice import all_subgroups, chief_series, sylow
 
 from conftest import PROPERTY, members, perm_groups, table_of
-from oracle import (o_chief_order_multisets, o_f_subnormal, o_is_nilpotent,
-                    o_is_supersoluble, o_residual, o_sub_table, o_subgroups)
+from oracle import (map_bits_to_sub, o_chief_order_multisets, o_f_subnormal,
+                    o_is_nilpotent, o_is_supersoluble, o_residual, o_sub_table,
+                    o_subgroups)
 
 N, U, S, N2 = BUILTINS["N"], BUILTINS["U"], BUILTINS["S"], BUILTINS["N^2"]
 
@@ -289,7 +290,7 @@ def test_local_membership_reads_residual_in_parent():
 
 
 def _chain_exists(g, lat, h, f):
-    from formations.groups import Subgroup, as_group, core_bits, map_bits_to_sub, quotient
+    from formations.groups import Subgroup, as_group, core_bits, quotient
     from formations.formation import member as fmember
     if h.is_full:
         return True

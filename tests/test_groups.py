@@ -10,19 +10,19 @@ from formations.dsl import parse_group
 from formations.errors import ClosureExceedsCap, NotNormal
 from formations.groups import (FiniteGroup, Permutation, Subgroup, as_group,
                                bits_of, center, centralizer,
-                               commutator_subgroup, conjugates, core,
+                               commutator_subgroup, conjugates, core, cyclic,
                                derived_bits, direct_product, from_generators,
                                generated_subgroup, indices_of, is_normal,
-                               map_bits_from_sub, map_bits_to_sub,
-                               normal_closure, normalizer, product_bits,
-                               quotient)
+                               map_bits_from_sub, normal_closure, normalizer,
+                               product_bits, quotient)
 from formations.lattice import all_subgroups
 from formations.structure import subgroup_is_abelian
 
 from conftest import PROPERTY, members, perm_groups, s4_perms, table_of
-from oracle import (o_center, o_centralizer, o_closure, o_conjugate, o_core,
-                    o_derived, o_element_orders, o_inverses, o_is_normal,
-                    o_normal_closure, o_normalizer, o_quotient_table)
+from oracle import (map_bits_to_sub, o_center, o_centralizer, o_closure,
+                    o_conjugate, o_core, o_derived, o_element_orders,
+                    o_inverses, o_is_normal, o_normal_closure, o_normalizer,
+                    o_quotient_table)
 
 
 @given(st.lists(st.integers(0, 6000)))
@@ -68,6 +68,38 @@ def test_inverses_and_orders_match_oracle(g):
     table = table_of(g)
     assert list(g.inv) == o_inverses(table)
     assert list(g.element_orders()) == o_element_orders(table)
+
+
+@pytest.mark.parametrize("spec", ["C210", "S3 x C105", "perm 5: (1 2 3 4 5), (2 3 5 4) x C21"])
+def test_inverses_and_orders_of_corpus_groups(spec):
+    """The walk per cyclic subgroup against brute force on the corpus's
+    groups with the longest power walks."""
+    g = parse_group(spec)
+    table = table_of(g)
+    assert list(g.inv) == o_inverses(table)
+    assert list(g.element_orders()) == o_element_orders(table)
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 105, 210, 420])
+def test_cyclic_is_the_n_cycle(n):
+    """cyclic(n) is from_generators of the n-cycle: same rows, generators,
+    inverses, orders and name."""
+    a = cyclic(n, f"C{n}")
+    b = from_generators([Permutation.from_cycles(n, [tuple(range(n))])], f"C{n}")
+    assert a.right_rows == b.right_rows and a.generators == b.generators
+    assert a.inv == b.inv and a.element_orders() == b.element_orders()
+    assert a.name == b.name
+
+
+def test_subgroup_gens_memoized_per_bits(monkeypatch):
+    """Subgroups built from the same bare bits share one generating set:
+    the second makes no closure."""
+    g = parse_group("S4")
+    bits = g.closure_bits([1, 5])  # a dihedral subgroup of order 8
+    first = Subgroup(g, bits).gens
+    calls = []
+    monkeypatch.setattr(g, "closure_bits", lambda gens: calls.append(gens))
+    assert Subgroup(g, bits).gens == first and calls == []
 
 
 def test_from_generators_identity_only():

@@ -8,11 +8,12 @@ from hypothesis import assume, given
 from formations.dsl import parse_group
 from formations.errors import NotNormal
 from formations.groups import (Subgroup, as_group, bits_of, map_bits_from_sub,
-                               map_bits_to_sub, quotient, subquotient)
+                               quotient, subquotient)
 from formations.lattice import all_subgroups
 
 from conftest import PROPERTY, members, perm_groups, table_of
-from oracle import o_normal_subgroups, o_quotient_table, o_subgroups
+from oracle import (map_bits_to_sub, o_normal_subgroups, o_quotient_table,
+                    o_subgroups)
 
 
 @PROPERTY

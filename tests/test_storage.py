@@ -1,14 +1,20 @@
 import json
+from enum import IntEnum
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from formations import cli
 from formations.dsl import parse_group
 from formations.errors import CacheVersionMismatch, CorpusParseError
 from formations.lattice import all_subgroups
-from formations.storage import (CorpusEntry, builtin_corpus_path,
-                                cache_lattice, load_cached_lattice,
-                                load_corpus, report_dumps, write_corpus,
-                                write_report)
+from formations.storage import (REPORT_SCHEMA, CorpusEntry,
+                                builtin_corpus_path, cache_lattice,
+                                load_cached_lattice, load_corpus,
+                                report_dumps, write_corpus, write_report)
+
+from conftest import PROPERTY
 
 
 def test_load_corpus_array_form(tmp_path):
@@ -65,6 +71,56 @@ def test_report_dumps_stable():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a)["schema"].startswith("formations-report/")
+
+
+def json_dumps_bytes(report):
+    """The reference bytes `report_dumps` must reproduce."""
+    doc = {"schema": REPORT_SCHEMA, **report}
+    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€\U0001f600ab') | st.characters(),
+                max_size=6)
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.sampled_from([10**400, -10**400, -1, 0])
+            | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                             -0.0, 1e300, -1e-300]) | _TEXT)
+_VALUES = st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=4)
+                       | st.lists(kids, max_size=4).map(tuple)
+                       | st.dictionaries(_TEXT, kids, max_size=4), max_leaves=24)
+
+
+@PROPERTY
+@given(st.dictionaries(_TEXT, _VALUES, max_size=5))
+def test_report_dumps_matches_json_dumps(report):
+    """Nested dicts, lists and tuples, empty ones too, with every scalar
+    json spells specially, give exactly json.dumps's bytes."""
+    assert report_dumps(report) == json_dumps_bytes(report)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--group", "S4", "--formation", "U"],
+    ["lattice", "--group", "S4"],
+    ["classify", "--group", "Frob21", "--formation", "N", "-n", "2"],
+    ["verify", "--theorem", "C", "--formation", "U", "--group", "SL23"],
+    ["verify", "--lemma", "2.2", "--formation", "N", "--group", "D8"],
+])
+def test_cli_json_is_json_dumps(capsys, monkeypatch, argv):
+    """Each command's --format json output is json.dumps's bytes of the
+    document it hands to the writer."""
+    docs = []
+    monkeypatch.setattr(cli, "report_dumps", lambda doc: docs.append(doc) or report_dumps(doc))
+    assert cli.main(argv + ["--format", "json"]) == 0
+    assert len(docs) == 1 and capsys.readouterr().out == json_dumps_bytes(docs[0])
+
+
+@pytest.mark.parametrize("report", [{"x": {1: "a"}}, {"x": {1, 2}}, {"x": [True, {2}]},
+                                    {"x": IntEnum("E", "A").A}])
+def test_report_dumps_refuses_what_a_report_does_not_hold(report):
+    """A non-str key, a set or an int subclass raises TypeError; no
+    fallback writes it."""
+    with pytest.raises(TypeError):
+        report_dumps(report)
 
 
 def test_write_report(tmp_path):
