@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Compare two revisions with perfbench in alternating pairs:
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --pairs 10 --seconds 30 \\
-        --seed-base 141 --out BENCH_topic.json
+    python3 scripts/bench_pairs.py PARENT CHANGE --seed-base 141 \\
+        --out BENCH_topic.json
 
 Each revision is extracted with `git archive` into its own directory, and
-`perfbench/run.py --trace 0` runs from each tree in turn: the parent first
-in even pairs and the change first in odd pairs, with seed = seed-base +
-pair on both sides. Workloads run one after another, in the order given.
+`perfbench/run.py --seconds 30 --trace 0` runs from each tree in turn, 10
+pairs per workload: the parent first in even pairs and the change first in
+odd pairs, with seed = seed-base + pair on both sides. Workloads run one
+after another, in the order given.
 
 For every workload and end-to-end metric of BENCHMARK.json this prints,
 and writes to --out, the summary the BENCH_*.json files carry: both
@@ -29,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
+SECONDS = 30
 
 
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -60,11 +63,11 @@ def _quartiles(values: list[float]) -> list[float]:
     return [round(q1, 5), round(q3, 5)]
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_side(tree: Path, workload: str, seed: int) -> dict:
     """One perfbench run from a source tree: its end-to-end metrics plus
     whether every output checked correct."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if not proc.stdout.strip():
         raise SystemExit(f"perfbench printed nothing in {tree}:\n{proc.stderr[-2000:]}")
@@ -86,8 +89,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seed-base", type=int, required=True)
     ap.add_argument("--workloads", nargs="+")
     ap.add_argument("--out", type=Path)
@@ -97,10 +98,10 @@ def main() -> int:
     metrics = bench["end_to_end"]
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     doc = {"command": "python3 perfbench/run.py --workload W --seed S "
-                      f"--seconds {args.seconds:g} --trace 0, run from a git archive "
+                      f"--seconds {SECONDS} --trace 0, run from a git archive "
                       "of each revision",
            "revisions": {"parent": args.parent, "change": args.change},
-           "protocol": f"{args.pairs} pairs per workload, parent first in even pairs "
+           "protocol": f"{PAIRS} pairs per workload, parent first in even pairs "
                        "and change first in odd pairs; seed = "
                        f"{args.seed_base} + pair on both sides; quartiles are the "
                        "inclusive 25th and 75th percentiles",
@@ -110,12 +111,12 @@ def main() -> int:
                  for side, rev in zip(SIDES, (args.parent, args.change))}
         for workload in workloads:
             pairs = []
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 seed = args.seed_base + pair
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 row = {"pair": pair, "first": order[0], "seed": seed}
                 for side in order:
-                    row[side] = run_side(trees[side], workload, seed, args.seconds)
+                    row[side] = run_side(trees[side], workload, seed)
                 pairs.append(row)
                 print(f"# {workload} pair {pair}: " + ", ".join(
                     f"{side} wall_s {row[side]['wall_s']}" for side in SIDES),
