@@ -31,8 +31,7 @@ from .theorems import (ClassificationOutcome, TheoremReport,
                        all_n_maximal_f_subnormal, classify_type, verify_lemma,
                        verify_theorem)
 from .harness import CheckSpec, RunConfig, full_suite, run_corpus
-from .dsl import (compile_formation, format_formation, format_group_spec,
-                  formation_from_text, parse_formation, parse_group,
+from .dsl import (format_group_spec, formation_from_text, parse_group,
                   parse_group_spec)
 from .storage import (CorpusEntry, builtin_corpus_path, cache_lattice,
                       load_cached_lattice, load_corpus, write_report)

@@ -16,7 +16,7 @@ import time
 from typing import Optional
 
 from .dsl import formation_from_text, parse_group
-from .errors import FormationsError
+from .errors import FormationsError, InvalidParams
 from .formation import (BUILTINS, Formation, f_hypercentre, is_f_critical,
                         member, residual)
 from .groups import DEFAULT_ORDER_CAP
@@ -133,16 +133,18 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     if bool(args.theorem) == bool(args.lemma):
-        print("verify needs exactly one of --theorem or --lemma", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParams("verify needs exactly one of --theorem or --lemma")
+    if args.r is not None and args.theorem != "A":
+        raise InvalidParams("-r applies only to --theorem A")
+    if args.n is not None and args.theorem == "C":
+        raise InvalidParams("--theorem C takes no -n")
     f = _formation_arg(args.formation) if args.formation else None
     if args.corpus:
         groups = [parse_group(e.spec, name=e.name, cap=args.order_cap)
                   for e in load_corpus(args.corpus)]
     else:
         if not args.group:
-            print("verify needs --group or --corpus", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidParams("verify needs --group or --corpus")
         groups = [parse_group(args.group, cap=args.order_cap)]
 
     check_id = f"theorem-{args.theorem}" if args.theorem else f"lemma-{args.lemma}"
@@ -151,7 +153,7 @@ def cmd_verify(args) -> int:
         try:
             if args.theorem:
                 n = 1 if args.n is None else args.n
-                reports = [verify_theorem(args.theorem, g, n=n, r=args.r, f=f)]
+                reports = [verify_theorem(args.theorem, g, n=n, r=args.r or 0, f=f)]
             else:
                 reports = _lemma_reports(args.lemma, g, f, args.n)
         except FormationsError:
@@ -203,6 +205,8 @@ def cmd_corpus(args) -> int:
     if args.tags:
         wanted = set(args.tags.split(","))
         entries = [e for e in entries if wanted & set(e.tags)]
+        if not entries:
+            raise InvalidParams(f"no corpus group carries a tag in {args.tags!r}")
     cfg = RunConfig(seed=args.seed, workers=args.workers, cache_dir=args.cache_dir,
                     order_cap=args.order_cap)
     started = time.monotonic()
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("-n", type=int,
                    help="n for a theorem (default 1); for a lemma, overrides the sampled n")
-    p.add_argument("-r", type=int, default=0)
+    p.add_argument("-r", type=int, help="r for theorem A (default 0)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("corpus", help="run a check suite over a corpus file",

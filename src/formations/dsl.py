@@ -33,27 +33,6 @@ from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Permutation, cyclic,
 # formation expressions
 
 
-@dataclass(frozen=True)
-class Prim:
-    kind: str                 # 'N' | 'U' | 'S' | 'N^' | 'Gp' | 'A'
-    arg: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Product:
-    left: "FormationExpr"
-    right: "FormationExpr"
-
-
-@dataclass(frozen=True)
-class Intersect:
-    left: "FormationExpr"
-    right: "FormationExpr"
-
-
-FormationExpr = Union[Prim, Product, Intersect]
-
-
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -82,32 +61,33 @@ class _Scanner:
         return int(m.group())
 
 
-def parse_formation(text: str) -> FormationExpr:
+def formation_from_text(text: str) -> Formation:
+    """The formation an expression names, built while it is parsed."""
     sc = _Scanner(text)
-    expr = _parse_and(sc)
+    f = _parse_and(sc)
     sc.skip_ws()
     if sc.pos != len(text):
         raise DslSyntaxError("trailing input", sc.pos)
-    return expr
+    return f
 
 
-def _parse_and(sc: _Scanner) -> FormationExpr:
+def _parse_and(sc: _Scanner) -> Formation:
     left = _parse_mul(sc)
     while sc.peek() == "&":
         sc.take("&")
-        left = Intersect(left, _parse_mul(sc))
+        left = intersection(left, _parse_mul(sc))
     return left
 
 
-def _parse_mul(sc: _Scanner) -> FormationExpr:
+def _parse_mul(sc: _Scanner) -> Formation:
     left = _parse_term(sc)
     while sc.peek() == "*":
         sc.take("*")
-        left = Product(left, _parse_term(sc))
+        left = product(left, _parse_term(sc))
     return left
 
 
-def _parse_term(sc: _Scanner) -> FormationExpr:
+def _parse_term(sc: _Scanner) -> Formation:
     ch = sc.peek()
     if ch == "(":
         sc.take("(")
@@ -121,14 +101,14 @@ def _parse_term(sc: _Scanner) -> FormationExpr:
             r = sc.integer()
             if r < 1:
                 raise DslSemanticError(f"N^{r}: exponent must be >= 1")
-            return Prim("N^", r)
-        return Prim("N")
+            return soluble_length_formation(r)
+        return NILPOTENT
     if ch == "U":
         sc.pos += 1
-        return Prim("U")
+        return SUPERSOLUBLE
     if ch == "S":
         sc.pos += 1
-        return Prim("S")
+        return SOLUBLE
     if sc.text[sc.pos:sc.pos + 2] == "Gp":
         sc.pos += 2
         sc.take("(")
@@ -136,7 +116,7 @@ def _parse_term(sc: _Scanner) -> FormationExpr:
         sc.take(")")
         if not is_prime(p):
             raise DslSemanticError(f"Gp({p}): {p} is not prime")
-        return Prim("Gp", p)
+        return p_groups(p)
     if ch == "A":
         sc.pos += 1
         sc.take("(")
@@ -144,53 +124,8 @@ def _parse_term(sc: _Scanner) -> FormationExpr:
         sc.take(")")
         if m < 1:
             raise DslSemanticError(f"A({m}): exponent bound must be >= 1")
-        return Prim("A", m)
+        return abelian_exponent(m)
     raise DslSyntaxError("expected a formation term", sc.pos)
-
-
-def format_formation(expr: FormationExpr) -> str:
-    """Inverse of parse_formation (round-trips to an equal tree)."""
-    if isinstance(expr, Prim):
-        if expr.kind == "N^":
-            return f"N^{expr.arg}"
-        if expr.kind in ("Gp", "A"):
-            return f"{expr.kind}({expr.arg})"
-        return expr.kind
-    if isinstance(expr, Product):
-        return f"{_fmt_mul_operand(expr.left)}*{_fmt_mul_operand(expr.right)}"
-    left, right = expr.left, expr.right
-    return f"{format_formation(left)}&{format_formation(right)}"
-
-
-def _fmt_mul_operand(e: FormationExpr) -> str:
-    s = format_formation(e)
-    return f"({s})" if isinstance(e, Intersect) else s
-
-
-def compile_formation(expr: FormationExpr) -> Formation:
-    """Formation with membership composed per node and flags propagated per
-    the conservative metadata rules."""
-    if isinstance(expr, Prim):
-        if expr.kind == "N":
-            return NILPOTENT
-        if expr.kind == "U":
-            return SUPERSOLUBLE
-        if expr.kind == "S":
-            return SOLUBLE
-        if expr.kind == "N^":
-            return soluble_length_formation(expr.arg)
-        if expr.kind == "Gp":
-            return p_groups(expr.arg)
-        if expr.kind == "A":
-            return abelian_exponent(expr.arg)
-        raise ValueError(f"unknown prim {expr.kind}")
-    if isinstance(expr, Product):
-        return product(compile_formation(expr.left), compile_formation(expr.right))
-    return intersection(compile_formation(expr.left), compile_formation(expr.right))
-
-
-def formation_from_text(text: str) -> Formation:
-    return compile_formation(parse_formation(text))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ class NoSatellite(FormationsError):
 
 
 class InvalidParams(FormationsError):
-    """Verifier parameters contradict the formation's metadata flags."""
+    """Parameters out of range, or contradicting the formation's metadata."""
 
 
 class DslSyntaxError(FormationsError):

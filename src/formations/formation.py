@@ -241,8 +241,11 @@ def product(m: Formation, h: Formation) -> Formation:
     contains_n = True if (m.contains_nilpotent or h.contains_nilpotent) else None
     if m.contains_nilpotent is False and h.contains_nilpotent is False:
         contains_n = False
+    # parenthesized where the name would otherwise read as another formation
+    left = f"({m.name})" if "&" in _operators(m.name) else m.name
+    right = f"({h.name})" if _operators(h.name) else h.name
     return Formation(
-        name=f"{m.name}*{h.name}", key=f"({m.key}*{h.key})", test=test,
+        name=f"{left}*{right}", key=f"({m.key}*{h.key})", test=test,
         hereditary=hereditary,
         saturated=True if msl >= 1 else None,
         msl=msl,
@@ -250,6 +253,16 @@ def product(m: Formation, h: Formation) -> Formation:
         within_supersoluble=None,
         nl_bound=nl_bound,
     )
+
+
+def _operators(name: str) -> str:
+    """The '*' and '&' of a formation name that sit outside parentheses."""
+    depth, ops = 0, ""
+    for ch in name:
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and ch in "*&":
+            ops += ch
+    return ops
 
 
 def intersection(f1: Formation, f2: Formation) -> Formation:

@@ -110,12 +110,6 @@ class Permutation:
             raise ValueError("degree mismatch")
         return Permutation(tuple(other.images[i] for i in self.images))
 
-    def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for i, j in enumerate(self.images):
-            images[j] = i
-        return Permutation(tuple(images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles in canonical order (smallest point first)."""
         seen = [False] * self.degree
@@ -187,16 +181,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
-
-    def mult(self, a: int, b: int) -> int:
-        return self.right_rows[b][a]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
-    @property
-    def identity(self) -> int:
-        return 0
 
     @property
     def fingerprint(self) -> str:
@@ -395,12 +379,6 @@ class Subgroup:
             self._gens = gens
         return self._gens
 
-    def contains(self, i: int) -> bool:
-        return bool((self.bits >> i) & 1)
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return other.bits & self.bits == other.bits
-
     @property
     def is_trivial(self) -> bool:
         return self.bits == 1
@@ -418,10 +396,10 @@ class Subgroup:
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
-    def describe(self, limit: int = 16) -> str:
+    def describe(self) -> str:
         """Deterministic short description for report witnesses."""
-        tail = ", ..." if self.order > limit else ""
-        mem = ", ".join(map(str, self.members[:limit]))
+        tail = ", ..." if self.order > 16 else ""
+        mem = ", ".join(map(str, self.members[:16]))
         return f"order {self.order} <= {self.parent.name}, members [{mem}{tail}]"
 
 

@@ -15,7 +15,8 @@ from typing import Iterable, Optional, Sequence
 
 from .arith import prime_divisors
 from .dsl import parse_group
-from .errors import CorpusParseError, FormationsError, LatticeExceedsCap
+from .errors import (CorpusParseError, FormationsError, InvalidParams,
+                     LatticeExceedsCap)
 from .formation import (BUILTINS, NILPOTENT, f_subnormal_bits,
                         local_membership, member, p_groups)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup
@@ -36,6 +37,10 @@ class RunConfig:
     workers: int = 1
     cache_dir: Optional[str] = None
     order_cap: int = DEFAULT_ORDER_CAP
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise InvalidParams(f"need workers >= 1, got {self.workers}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +332,11 @@ def _aggregate(check_ids: Sequence[str], rows: list[dict]) -> dict:
     return {"checks": checks, "status": status}
 
 
-def run_corpus(entries: Iterable[CorpusEntry], checks: Optional[Sequence[CheckSpec]] = None,
-               cfg: Optional[RunConfig] = None, suite: str = "full",
-               detail: bool = False) -> dict:
+def run_corpus(entries: Iterable[CorpusEntry], cfg: Optional[RunConfig] = None,
+               suite: str = "full", detail: bool = False) -> dict:
     """Run a check suite over a corpus; returns the aggregated report dict."""
     cfg = cfg or RunConfig()
-    if checks is None:
-        checks = SUITES[suite]()
+    checks = SUITES[suite]()
     entries = sorted(entries, key=lambda e: e.name)
     names = [e.name for e in entries]
     if len(set(names)) != len(names):

@@ -104,9 +104,6 @@ class SubgroupLattice:
             level = {j for i in level for j in self.maximals_of[i]}
         return [self.subgroups[i] for i in sorted(level)]
 
-    def by_order(self, order: int) -> list[Subgroup]:
-        return [s for s in self.subgroups if s.order == order]
-
     def factorizations(self) -> list[tuple[int, int]]:
         """Position pairs i <= j of the subgroups A, B with G = AB, that is
         |A||B| = |G||A n B|, in ascending order."""
@@ -411,20 +408,12 @@ class ChiefFactor:
     def primes(self) -> tuple[int, ...]:
         return prime_divisors(self.order)
 
-    @property
-    def prime(self) -> Optional[int]:
-        """The prime p when the factor is a p-group, else None."""
-        primes = self.primes
-        return primes[0] if len(primes) == 1 else None
 
 
 @dataclass
 class ChiefSeries:
     terms: list[Subgroup]        # ascending, 1 = terms[0] < ... < terms[-1] = G
     factors: list[ChiefFactor]   # factors[i] = terms[i+1]/terms[i]
-
-    def factor_orders(self) -> tuple[int, ...]:
-        return tuple(f.order for f in self.factors)
 
 
 def chief_series(g: FiniteGroup, reverse: bool = False) -> ChiefSeries:

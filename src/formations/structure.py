@@ -9,7 +9,6 @@ predicates lattice-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
 
 from .arith import p_part, prime_divisors
@@ -179,14 +178,6 @@ def dispersiveness(g: FiniteGroup) -> tuple[bool, Optional[DispersiveOrdering]]:
         witness.append(p)
         need *= p_part(g.order, p)
     return ore, tuple(witness)
-
-
-def exists_dispersive_ordering_exhaustive(g: FiniteGroup) -> Optional[DispersiveOrdering]:
-    """Oracle twin of the greedy witness search: try all |pi|! orderings."""
-    for perm in permutations(sorted(g.pi())):
-        if is_phi_dispersive(g, perm):
-            return perm
-    return None if g.pi() else ()
 
 
 # ---------------------------------------------------------------------------

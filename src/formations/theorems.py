@@ -159,6 +159,8 @@ def classify_type(g: FiniteGroup, n: int, f: Formation) -> ClassificationOutcome
     p-subgroup of exponent p; and every n-maximal subgroup lies in F and acts
     on each Sylow p-subgroup of A inside A*H through a group in F(p).
     """
+    if n < 1:
+        raise InvalidParams("need n >= 1")
     if not f.has_satellite:
         raise NoSatellite(f"{f.name} has no canonical satellite table")
     if member(f, g):

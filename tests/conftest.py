@@ -23,6 +23,21 @@ def table_of(g):
     return [list(row) for row in zip(*g.right_rows)]
 
 
+def mult(g, a, b):
+    """The product a*b of two elements of g, by index."""
+    return g.right_rows[b][a]
+
+
+def of_order(lattice, order):
+    """The subgroups of a lattice with the given order, in lattice order."""
+    return [s for s in lattice.subgroups if s.order == order]
+
+
+def factor_orders(series):
+    """The orders of a chief series' factors, from the bottom up."""
+    return tuple(f.order for f in series.factors)
+
+
 def s4_perms(s4):
     """The elements of the fixture's S4 as permutations, by index: S4 is
     built from the transposition (0 1) and the 4-cycle (0 1 2 3)."""

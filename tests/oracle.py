@@ -304,3 +304,17 @@ def map_bits_to_sub(h, bits):
     if h.is_full:
         return bits
     return sum(1 << i for i, x in enumerate(h.members) if bits >> x & 1)
+
+
+def exists_dispersive_ordering_exhaustive(g):
+    """The first ordering of pi(G) in which G is phi-dispersive, trying all
+    |pi|! orderings with the package's `is_phi_dispersive`; None when there
+    is none. The greedy witness search of `dispersiveness` is checked
+    against it."""
+    from itertools import permutations
+
+    from formations.structure import is_phi_dispersive
+    for perm in permutations(sorted(g.pi())):
+        if is_phi_dispersive(g, perm):
+            return perm
+    return None if g.pi() else ()

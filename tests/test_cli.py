@@ -190,6 +190,23 @@ def test_lattice_cap_is_a_skip(tmp_path, capsys, monkeypatch):
     assert skipped == [c["id"] for c in doc["checks"] if c["id"] != "classify-structural"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--group", "S4", "--formation", "N", "-n", "0"),
+    ("corpus", "--workers", "0"),
+    ("corpus", "--tags", "zzz"),
+    ("verify", "--theorem", "C", "--formation", "U", "--group", "S4", "-n", "7"),
+    ("verify", "--theorem", "C", "--formation", "U", "--group", "S4", "-r", "3"),
+    ("verify", "--lemma", "2.7", "--group", "S4", "-r", "5"),
+])
+def test_out_of_range_or_ignored_flag_is_usage_error(capsys, argv):
+    """A parameter out of range, a flag its target does not read and a tag
+    filter that selects no group each stop the run before any check."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_invalid_params_is_usage_error(capsys):
     # S carries no nilpotent-length bound, so theorem A must refuse it
     code, _, err = run(capsys, "verify", "--theorem", "A", "--formation", "S",

@@ -1,51 +1,58 @@
 import pytest
 
-from formations.dsl import (Builtin, Generators, GroupProduct, Intersect, Prim,
-                            Product, format_formation, format_group_spec,
-                            formation_from_text, parse_formation, parse_group,
+from formations.dsl import (Builtin, Generators, GroupProduct,
+                            format_group_spec, formation_from_text, parse_group,
                             parse_group_spec)
 from formations.errors import (ClosureExceedsCap, DslSemanticError,
                                DslSyntaxError, UnknownBuiltin)
-from formations.formation import BUILTINS, canonical_satellite, member
+from formations.formation import (BUILTINS, NILPOTENT, SOLUBLE, SUPERSOLUBLE,
+                                  abelian_exponent, canonical_satellite, member,
+                                  p_groups, soluble_length_formation)
 
 
 def test_parse_prims():
-    assert parse_formation("N") == Prim("N")
-    assert parse_formation("N^3") == Prim("N^", 3)
-    assert parse_formation("Gp(7)") == Prim("Gp", 7)
-    assert parse_formation("A(6)") == Prim("A", 6)
-    assert parse_formation(" U ") == Prim("U")
+    assert formation_from_text("N") is NILPOTENT
+    assert formation_from_text(" U ") is SUPERSOLUBLE
+    assert formation_from_text("S") is SOLUBLE
+    assert formation_from_text("N^1") is NILPOTENT
+    assert formation_from_text("N^3") is soluble_length_formation(3)
+    assert formation_from_text("Gp(7)") == p_groups(7)
+    assert formation_from_text("A(6)") == abelian_exponent(6)
 
 
 def test_parse_precedence():
-    e = parse_formation("N*U&S")
-    assert e == Intersect(Product(Prim("N"), Prim("U")), Prim("S"))
-    e2 = parse_formation("N*(U&S)")
-    assert e2 == Product(Prim("N"), Intersect(Prim("U"), Prim("S")))
-    e3 = parse_formation("N*U*S")
-    assert e3 == Product(Product(Prim("N"), Prim("U")), Prim("S"))
+    assert formation_from_text("N*U&S").key == "((N*U)&S)"
+    assert formation_from_text("N*(U&S)").key == "(N*(U&S))"
+    assert formation_from_text("N*U*S").key == "((N*U)*S)"
 
 
 def test_parse_errors():
     with pytest.raises(DslSyntaxError) as err:
-        parse_formation("N^")
+        formation_from_text("N^")
     assert err.value.position == 2
     with pytest.raises(DslSyntaxError):
-        parse_formation("(N")
+        formation_from_text("(N")
     with pytest.raises(DslSyntaxError):
-        parse_formation("N U")
+        formation_from_text("N U")
     with pytest.raises(DslSemanticError):
-        parse_formation("Gp(4)")
+        formation_from_text("Gp(4)")
     with pytest.raises(DslSemanticError):
-        parse_formation("A(0)")
+        formation_from_text("A(0)")
     with pytest.raises(DslSemanticError):
-        parse_formation("N^0")
+        formation_from_text("N^0")
+
+
+ROUND_TRIP = ("N", "N^2*U", "Gp(2)*A(1)&N^2", "(N&U)*S", "N&U*S", "N*(U&S)*Gp(3)",
+              "N*U&S", "N*U*S", "N*(U*S)", "N^1", " U ", "(N*U&S)*(Gp(2)&N)*(S*N)")
 
 
 def test_formation_roundtrip():
-    for text in ("N", "N^2*U", "Gp(2)*A(1)&N^2", "(N&U)*S", "N*(U&S)*Gp(3)"):
-        tree = parse_formation(text)
-        assert parse_formation(format_formation(tree)) == tree
+    """Key and name both parse back to the formation: a name is never
+    shared by two formations, as `(N&U)*S` and `N&U*S` once were."""
+    for text in ROUND_TRIP:
+        f = formation_from_text(text)
+        assert formation_from_text(f.key).key == f.key, text
+        assert formation_from_text(f.name).key == f.key, text
 
 
 def test_compiled_satellite_equivalence(groups):

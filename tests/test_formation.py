@@ -15,7 +15,7 @@ from formations.groups import (Permutation, Subgroup, as_group, bits_of,
                                center, commutator_subgroup, from_generators)
 from formations.lattice import all_subgroups, chief_series, sylow
 
-from conftest import PROPERTY, members, perm_groups, table_of
+from conftest import PROPERTY, members, of_order, perm_groups, table_of
 from oracle import (map_bits_to_sub, o_chief_order_multisets, o_f_subnormal,
                     o_is_nilpotent, o_is_supersoluble, o_residual, o_sub_table,
                     o_subgroups)
@@ -177,9 +177,9 @@ def test_f_hypercentre(groups):
 def test_is_f_normal_maximal(groups):
     s4 = groups["S4"]
     lat = all_subgroups(s4)
-    a4 = next(s for s in lat.by_order(12))
+    a4 = next(s for s in of_order(lat, 12))
     assert is_f_normal_maximal(s4, a4, U)
-    s3 = next(s for s in lat.by_order(6))
+    s3 = next(s for s in of_order(lat, 6))
     assert not is_f_normal_maximal(s4, s3, U)
     with pytest.raises(NotMaximal):
         is_f_normal_maximal(s4, s4.trivial_subgroup(), U)

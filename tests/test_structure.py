@@ -5,14 +5,13 @@ from formations.dsl import parse_group
 from formations.errors import NotNormalized
 from formations.groups import is_normal
 from formations.lattice import all_subgroups
-from formations.structure import (dispersiveness,
-                                  exists_dispersive_ordering_exhaustive,
-                                  induced_action, is_miller_moreno,
-                                  is_phi_dispersive, is_schmidt, is_subnormal,
-                                  profile)
+from formations.structure import (dispersiveness, induced_action,
+                                  is_miller_moreno, is_phi_dispersive,
+                                  is_schmidt, is_subnormal, profile)
 
-from conftest import PROPERTY, members, perm_groups, s4_perms, table_of
-from oracle import o_is_nilpotent, o_is_subnormal, o_is_supersoluble
+from conftest import PROPERTY, members, of_order, perm_groups, s4_perms, table_of
+from oracle import (exists_dispersive_ordering_exhaustive, o_is_nilpotent,
+                    o_is_subnormal, o_is_supersoluble)
 
 
 def test_profile_s4(groups):
@@ -111,16 +110,16 @@ def test_nilpotent_all_orderings(groups):
 def test_induced_action(groups):
     s4 = groups["S4"]
     lat = all_subgroups(s4)
-    v4 = next(s for s in lat.by_order(4) if is_normal(s4, s))
-    stab = next(s for s in lat.by_order(6))
+    v4 = next(s for s in of_order(lat, 4) if is_normal(s4, s))
+    stab = next(s for s in of_order(lat, 6))
     q = induced_action(stab, v4)
     assert q.base.order == 6
-    a4 = next(s for s in lat.by_order(12))
+    a4 = next(s for s in of_order(lat, 12))
     q2 = induced_action(a4, v4)
     assert q2.base.order == 3
     assert induced_action(v4, v4).base.order == 1  # V4 is abelian
-    c3 = next(s for s in lat.by_order(3))
-    syl2 = next(s for s in lat.by_order(8))
+    c3 = next(s for s in of_order(lat, 3))
+    syl2 = next(s for s in of_order(lat, 8))
     with pytest.raises(NotNormalized):
         induced_action(c3, syl2)
 
@@ -128,12 +127,12 @@ def test_induced_action(groups):
 def test_is_subnormal(groups):
     s4 = groups["S4"]
     lat = all_subgroups(s4)
-    v4 = next(s for s in lat.by_order(4) if is_normal(s4, s))
-    c2_in_v4 = next(s for s in lat.by_order(2) if s.bits & v4.bits == s.bits)
+    v4 = next(s for s in of_order(lat, 4) if is_normal(s4, s))
+    c2_in_v4 = next(s for s in of_order(lat, 2) if s.bits & v4.bits == s.bits)
     assert is_subnormal(s4, c2_in_v4)
     perms = s4_perms(s4)
     transposition = next(
-        s for s in lat.by_order(2) if len(perms[max(s.members)].cycles()) == 1)
+        s for s in of_order(lat, 2) if len(perms[max(s.members)].cycles()) == 1)
     assert not is_subnormal(s4, transposition)
     assert is_subnormal(s4, s4.full_subgroup())
     for name in ("S4", "SL23"):

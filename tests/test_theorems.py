@@ -11,6 +11,8 @@ from formations.theorems import (_frattini_factor, _special,
                                  all_n_maximal_f_subnormal, classify_type,
                                  verify_lemma, verify_theorem)
 
+from conftest import of_order
+
 N, U, S, N2 = BUILTINS["N"], BUILTINS["U"], BUILTINS["S"], BUILTINS["N^2"]
 
 
@@ -66,7 +68,7 @@ def test_frattini_factor_s4(groups):
     factor = _frattini_factor(s4, normal[4])
     assert factor is not None
     assert factor.lower.is_trivial and factor.upper == normal[4]
-    assert factor.order == 4 and factor.primes == (2,) and factor.prime == 2
+    assert factor.order == 4 and factor.primes == (2,)
     assert not is_f_central(s4, factor, N)
     assert _frattini_factor(s4, normal[12]) is None
     assert _frattini_factor(s4, normal[1]) is None
@@ -172,14 +174,14 @@ def test_lemma_2_6(groups):
 
 def test_lemma_2_7_example(groups):
     s4 = groups["S4"]
-    v4 = next(s for s in all_subgroups(s4).by_order(4) if is_normal(s4, s))
+    v4 = next(s for s in of_order(all_subgroups(s4), 4) if is_normal(s4, s))
     rep = verify_lemma("2.7", s4, f=U, e_bits=v4.bits)
     assert rep.hypotheses_met and rep.conclusion_holds
 
 
 def test_lemma_2_14_vacuous_example(groups):
     s4 = groups["S4"]
-    a4 = next(s for s in all_subgroups(s4).by_order(12))
+    a4 = next(s for s in of_order(all_subgroups(s4), 12))
     rep = verify_lemma("2.14", s4, f=U, e_bits=a4.bits)
     assert not rep.hypotheses_met  # A4/(A4 n Phi(S4)) = A4 is not supersoluble
     assert rep.conclusion_holds is None
