@@ -26,8 +26,8 @@ from .lattice import DEFAULT_SUBGROUP_CAP, all_subgroups
 from .storage import (builtin_corpus_path, load_corpus, report_dumps,
                       write_report)
 from .structure import dispersiveness, profile
-from .theorems import (LEMMA_IDS, TheoremReport, classify_type, verify_lemma,
-                       verify_theorem)
+from .theorems import (LEMMA_IDS, TheoremReport, classify_type, lemma_parameters,
+                       verify_lemma, verify_theorem)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -134,11 +134,21 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     if bool(args.theorem) == bool(args.lemma):
         raise InvalidParams("verify needs exactly one of --theorem or --lemma")
-    if args.r is not None and args.theorem != "A":
-        raise InvalidParams("-r applies only to --theorem A")
-    if args.n is not None and args.theorem == "C":
-        raise InvalidParams("--theorem C takes no -n")
     f = _formation_arg(args.formation) if args.formation else None
+    overrides = {}  # for a lemma: parameter name -> flag value
+    if args.theorem:
+        if args.r is not None and args.theorem != "A":
+            raise InvalidParams("-r applies only to --theorem A")
+        if args.n is not None and args.theorem == "C":
+            raise InvalidParams("--theorem C takes no -n")
+    else:
+        takes = lemma_parameters(args.lemma)
+        for flag, name, value in (("--formation", "f", f), ("-n", "n", args.n),
+                                  ("-r", "r", args.r)):
+            if value is not None:
+                if name not in takes:
+                    raise InvalidParams(f"--lemma {args.lemma} takes no {flag}")
+                overrides[name] = value
     if args.corpus:
         groups = [parse_group(e.spec, name=e.name, cap=args.order_cap)
                   for e in load_corpus(args.corpus)]
@@ -155,7 +165,7 @@ def cmd_verify(args) -> int:
                 n = 1 if args.n is None else args.n
                 reports = [verify_theorem(args.theorem, g, n=n, r=args.r or 0, f=f)]
             else:
-                reports = _lemma_reports(args.lemma, g, f, args.n)
+                reports = _lemma_reports(args.lemma, g, overrides)
         except FormationsError:
             raise
         except Exception as exc:
@@ -176,16 +186,14 @@ def cmd_verify(args) -> int:
     return EXIT_ERROR if errors else EXIT_VIOLATION if violations else EXIT_OK
 
 
-def _lemma_reports(lemma_id, g, f, n):
-    """Sampled instances for a lemma on one group, honoring flag overrides."""
+def _lemma_reports(lemma_id, g, overrides):
+    """Sampled instances for a lemma on one group, each with the flag
+    overrides (parameter name -> value) in place of its own values."""
     instances = lemma_instances(lemma_id, g, DEFAULT_SEED, LEMMA_INSTANCES_PER_GROUP)
     seen = set()
     out = []
     for inst in instances:
-        if f is not None and "f" in inst:
-            inst = {**inst, "f": f}
-        if n is not None and "n" in inst:
-            inst = {**inst, "n": n}
+        inst = {**inst, **overrides}
         key = repr(sorted((k, getattr(v, "key", v)) for k, v in inst.items()))
         if key in seen:
             continue
@@ -256,8 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group")
     p.add_argument("--corpus")
     p.add_argument("-n", type=int,
-                   help="n for a theorem (default 1); for a lemma, overrides the sampled n")
-    p.add_argument("-r", type=int, help="r for theorem A (default 0)")
+                   help="n for a theorem (default 1); for a lemma that takes n, "
+                        "replaces n in every sampled instance")
+    p.add_argument("-r", type=int,
+                   help="r for theorem A (default 0), or for a lemma that takes r")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("corpus", help="run a check suite over a corpus file",

@@ -432,17 +432,15 @@ def is_f_subnormal(g: FiniteGroup, h: Subgroup, f: Formation) -> bool:
     return h.bits in f_subnormal_bits(g, f)
 
 
-def is_f_critical(g: FiniteGroup, f: Formation, literal: Optional[bool] = None) -> bool:
+def is_f_critical(g: FiniteGroup, f: Formation) -> bool:
     """G not in F while every proper subgroup is.
 
-    When the hereditary flag is set the maximal subgroups suffice; pass
-    literal=True to force the all-proper-subgroups reading.
+    When the hereditary flag is set the maximal subgroups suffice.
     """
     if member(f, g):
         return False
     lat = all_subgroups(g)
-    use_maximals = bool(f.hereditary) and not literal
-    if use_maximals:
+    if f.hereditary:
         candidates = lat.maximal_subgroups(g.full_subgroup())
     else:
         candidates = [s for s in lat.subgroups if not s.is_full]

@@ -167,9 +167,7 @@ class FiniteGroup:
         self.order = n
         self.inv, self._orders = _inverses_and_orders(rows)
         self._fingerprint: Optional[str] = None
-        self._memo: dict = {}          # per-formation membership and residuals
-        self._quotients: dict = {}     # kernel bits -> QuotientGroup
-        self._materialized: dict = {}  # subgroup bits -> FiniteGroup
+        self._memo: dict = {}  # every memo, keyed by kind: sections, membership, ...
         self._lattice = None
         self._conj: list = [None] * n  # conjugation_row(x), filled on first use
         self._registry: Optional[dict] = None  # see `_section`
@@ -405,9 +403,9 @@ class Subgroup:
 
 @dataclass
 class QuotientGroup:
-    """Materialized quotient G/N: its group and the projection map. The
-    group may be shared (see `as_group`); the projection belongs to this
-    (G, N)."""
+    """A section H/K of a group (`subquotient`): its group and the
+    projection map from H. The group may be shared (see `_section`); the
+    projection belongs to this (H, K)."""
 
     base: FiniteGroup
     projection: tuple[int, ...]
@@ -684,32 +682,57 @@ def commutator_subgroup(g: FiniteGroup) -> Subgroup:
 
 
 def quotient(g: FiniteGroup, n: Subgroup) -> QuotientGroup:
-    """Materialized quotient G/N (coset representative table).
-
-    Raises NotNormal when n is not normal in g. Results are memoized per
-    kernel, since chief-factor scans revisit the same quotients. The base
-    is the section of g's root with the quotient's table (`_section`), so
-    G/1 is G itself.
+    """G/N: `subquotient` of g's full subgroup by n. Raises NotNormal when
+    n is not normal in g; G/1 is G itself. The memo is read before the full
+    subgroup is built, since chief-factor scans revisit the same quotients.
     """
-    if n.bits in g._quotients:
-        return g._quotients[n.bits]
-    if not is_normal(g, n):
-        raise NotNormal(f"subgroup of order {n.order} is not normal in {g.name}")
-    if n.is_trivial:
-        q = QuotientGroup(base=g, projection=tuple(range(g.order)))
-    else:
-        q = _coset_quotient(g, range(g.order), g.generators, n.members)
-    g._quotients[n.bits] = q
-    return q
+    q = g._memo.get(("section", g.full_bits(), n.bits))
+    return q if q is not None else subquotient(g.full_subgroup(), n.bits)
 
 
-def _coset_quotient(g: FiniteGroup, members: Sequence[int], gens: Sequence[int],
-                    kmem: Sequence[int]) -> QuotientGroup:
-    """H/K in g's table, for H given by its ascending members and its
-    generators and K, normal in H, by its members. The cosets K*x are
-    taken for x in members ascending and numbered by first appearance; the
-    projection is indexed by position in members."""
-    rows, coset = g.right_rows, _getter(kmem)
+def as_group(h: Subgroup) -> FiniteGroup:
+    """A subgroup as a group of its own: the base of `subquotient(h, 1)`.
+
+    Local index i of the result stands for parent index h.members[i]: that
+    is the embedding `map_bits_from_sub` applies. Raises ValueError when
+    h's members are not closed under multiplication. Building it costs
+    |H|^2 table entries, so questions that the parent's tables answer
+    (`formation.subgroup_member` for N and Gp(p), `subquotient` by a
+    nontrivial K) do not call it.
+    """
+    return subquotient(h, 1).base
+
+
+def subquotient(h: Subgroup, kbits: int) -> QuotientGroup:
+    """H/K for a normal subgroup K of h given by its bitmask in h's parent,
+    built from the parent's rows: the one constructor of derived groups.
+
+    The cosets K*x are taken for x in h.members ascending and numbered by
+    first appearance; the projection is indexed by position in h.members.
+    With K = 1 each coset is one element, so local index i is h.members[i].
+    The base is the registered section with this table (`_section`), so
+    equal tables give one group; G/1 is G itself. Costs (|H|/|K|)^2 table
+    entries. Memoized per (H, K) on the parent.
+
+    Raises ValueError when K is not inside H or H's members are not closed
+    under multiplication, and NotNormal when h's generators do not
+    normalize K.
+    """
+    g = h.parent
+    key = ("section", h.bits, kbits)
+    q = g._memo.get(key)
+    if q is not None:
+        return q
+    if kbits & h.bits != kbits:
+        raise ValueError("K is not inside H")
+    k = Subgroup(g, kbits)
+    if not (k.is_trivial or _normalized(g, h.gens, k)):
+        raise NotNormal(f"subgroup of order {k.order} is not normal in a "
+                        f"subgroup of order {h.order} of {g.name}")
+    if h.is_full and k.is_trivial:  # G/1 is G
+        q = g._memo[key] = QuotientGroup(base=g, projection=tuple(range(g.order)))
+        return q
+    members, rows, coset = h.members, g.right_rows, _getter(k.members)
     coset_of = [-1] * g.order
     reps = []
     for x in members:
@@ -719,78 +742,17 @@ def _coset_quotient(g: FiniteGroup, members: Sequence[int], gens: Sequence[int],
             reps.append(x)
     at_reps = _getter(reps)
     qrows = [_getter(at_reps(rows[y]))(coset_of) for y in reps]
-    qgens = sorted(set(coset_of[x] for x in gens) - {0})
-    projection = coset_of if len(members) == g.order else _getter(members)(coset_of)
-    return QuotientGroup(base=_section(g, qrows, qgens), projection=tuple(projection))
-
-
-def as_group(h: Subgroup) -> FiniteGroup:
-    """Materialize a subgroup as a standalone group, memoized on the parent.
-
-    Local index i of the result stands for parent index h.members[i]: that
-    is the embedding `map_bits_from_sub` applies. The result is the section
-    of the parent's root with this table (`_section`), so subgroups with
-    equal tables, and a quotient with the same table, share one group and
-    its memos. Building it costs |H|^2 table entries, so questions that the
-    parent's tables answer (`formation.subgroup_member` for N and Gp(p),
-    `subquotient`) do not call it.
-    """
-    g = h.parent
-    if h.is_full:
-        return g
-    cached = g._materialized.get(h.bits)
-    if cached is not None:
-        return cached
-    mem = h.members
-    local = [-1] * g.order
-    for i, x in enumerate(mem):
-        local[x] = i
-    take = _getter(mem)
-    rows = [_getter(take(g.right_rows[y]))(local) for y in mem]
-    if min(map(min, rows)) < 0:
+    if len(reps) * k.order != h.order or min(map(min, qrows)) < 0:
         raise ValueError("member set is not closed under multiplication")
-    gens = [local[x] for x in h.gens if local[x] > 0]
-    sub = _section(g, rows, gens)
-    g._materialized[h.bits] = sub
-    return sub
-
-
-def subquotient(h: Subgroup, kbits: int) -> QuotientGroup:
-    """H/K for a normal subgroup K of h given by its bitmask in h's parent,
-    built from the parent's rows without materializing H.
-
-    The result is `quotient(as_group(h), K)` row for row: the cosets K*x
-    are taken for x in h.members ascending, numbered by first appearance,
-    and the projection is indexed locally as in `as_group(h)`. So the base
-    is the same registered section (`_section`), at (|H|/|K|)^2 table
-    entries instead of |H|^2. Raises NotNormal when h's generators do not
-    normalize K. Memoized per (H, K) on the parent; when H is the parent
-    this is `quotient`, and H/1 is `as_group(h)`.
-    """
-    g = h.parent
-    if h.is_full:
-        return quotient(g, Subgroup(g, kbits))
-    key = ("subquotient", h.bits, kbits)
-    q = g._memo.get(key)
-    if q is not None:
-        return q
-    if kbits & h.bits != kbits:
-        raise ValueError("K is not inside H")
-    k = Subgroup(g, kbits)
-    if not _normalized(g, h.gens, k):
-        raise NotNormal(f"subgroup of order {k.order} is not normal in a "
-                        f"subgroup of order {h.order} of {g.name}")
-    if k.is_trivial:
-        q = QuotientGroup(base=as_group(h), projection=tuple(range(h.order)))
-    else:
-        q = _coset_quotient(g, h.members, h.gens, k.members)
-    g._memo[key] = q
+    qgens = sorted(set(coset_of[x] for x in h.gens) - {0})
+    projection = coset_of if h.is_full else _getter(members)(coset_of)
+    q = g._memo[key] = QuotientGroup(base=_section(g, qrows, qgens), projection=tuple(projection))
     return q
 
 
 def _section(g: FiniteGroup, rows: Sequence[tuple[int, ...]], gens: Sequence[int]) -> FiniteGroup:
     """The group with this Cayley table among g's root and every group
-    derived from it by `quotient` and `as_group`.
+    derived from it by `subquotient` (so by `quotient` and `as_group`).
 
     A group that is not itself derived is a root. Its registry, which maps
     tables (right-row tuples) to groups, is made on its first derivation,

@@ -416,12 +416,11 @@ class ChiefSeries:
     factors: list[ChiefFactor]   # factors[i] = terms[i+1]/terms[i]
 
 
-def chief_series(g: FiniteGroup, reverse: bool = False) -> ChiefSeries:
+def chief_series(g: FiniteGroup) -> ChiefSeries:
     """One chief series, ascending through minimal normal subgroups of
     successive quotients; ties broken by the deterministic subgroup ordering
-    (lowest (order, bits) first, highest when reverse is set)."""
-    key = ("chief_series", reverse)
-    cached = g._memo.get(key)
+    (lowest (order, bits) first)."""
+    cached = g._memo.get("chief_series")
     if cached is not None:
         return cached
     terms = [g.trivial_subgroup()]
@@ -430,14 +429,13 @@ def chief_series(g: FiniteGroup, reverse: bool = False) -> ChiefSeries:
     while cur.order < g.order:
         q = quotient(g, cur)
         mins = minimal_normal_subgroups(q.base)
-        chosen = mins[-1] if reverse else mins[0]
-        nxt_bits = q.preimage_bits(chosen.bits)
+        nxt_bits = q.preimage_bits(mins[0].bits)
         nxt = Subgroup(g, nxt_bits)
         factors.append(ChiefFactor(lower=cur, upper=nxt))
         terms.append(nxt)
         cur = nxt
     series = ChiefSeries(terms=terms, factors=factors)
-    g._memo[key] = series
+    g._memo["chief_series"] = series
     return series
 
 

@@ -13,6 +13,7 @@ quotient group itself. Both are memoized.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import gcd
@@ -412,6 +413,12 @@ def verify_lemma(lemma_id: str, g: FiniteGroup, **instance) -> TheoremReport:
     except KeyError:
         raise InvalidParams(f"unknown lemma {lemma_id!r}") from None
     return checker(g, **instance)
+
+
+def lemma_parameters(lemma_id: str) -> tuple[str, ...]:
+    """The instance parameters a lemma's checker takes, read from its
+    signature (the group excluded)."""
+    return tuple(inspect.signature(_LEMMAS[lemma_id]).parameters)[1:]
 
 
 def _lemma_2_1_1(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:

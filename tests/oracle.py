@@ -275,6 +275,14 @@ def o_sub_table(table, s):
     return [[local[table[a][b]] for b in mem] for a in mem]
 
 
+def o_is_f_critical(table, pred):
+    """Literal F-criticality, F given by a predicate on tables: the group
+    fails pred, and every proper subgroup, on its own table, passes it."""
+    full = frozenset(range(len(table)))
+    return not pred(table) and all(pred(o_sub_table(table, s))
+                                   for s in o_subgroups(table) if s != full)
+
+
 def o_f_subnormal(table, pred):
     """The F-subnormal subgroups, F given by a predicate on tables: those
     reached from the whole group by steps H maximal in K with K/core_K(H)

@@ -75,6 +75,15 @@ def test_verify_lemma_keeps_sampled_n(capsys):
     assert [r["params"]["n"] for r in json.loads(out)["reports"]] == [2]
 
 
+def test_verify_lemma_flag_reaches_unsampled_parameter(capsys):
+    """A flag the lemma's checker takes applies even when the sampler draws
+    no value for it: lemma 3.8 samples no n, yet -n 3 is verified."""
+    code, out, _ = run(capsys, "verify", "--lemma", "3.8", "--group", "S4",
+                       "-n", "3", "--format", "json")
+    assert code == 0
+    assert [r["params"]["n"] for r in json.loads(out)["reports"]] == [3]
+
+
 def test_verify_requires_target(capsys):
     code, _, err = run(capsys, "verify", "--group", "S3")
     assert code == 2
@@ -197,6 +206,8 @@ def test_lattice_cap_is_a_skip(tmp_path, capsys, monkeypatch):
     ("verify", "--theorem", "C", "--formation", "U", "--group", "S4", "-n", "7"),
     ("verify", "--theorem", "C", "--formation", "U", "--group", "S4", "-r", "3"),
     ("verify", "--lemma", "2.7", "--group", "S4", "-r", "5"),
+    ("verify", "--lemma", "2.9", "--group", "S4", "--formation", "U", "-n", "3"),
+    ("verify", "--lemma", "3.8", "--group", "S4", "--formation", "N", "-n", "3"),
 ])
 def test_out_of_range_or_ignored_flag_is_usage_error(capsys, argv):
     """A parameter out of range, a flag its target does not read and a tag

@@ -1,6 +1,7 @@
-"""Sections of a group (`quotient` and `as_group`) are one group object per
-Cayley table among a root and the groups derived from it, checked against
-the brute-force oracle on random permutation groups of degree at most 6."""
+"""Sections of a group, all built by `subquotient` (`quotient` and
+`as_group` are its two special cases), are one group object per Cayley table
+among a root and the groups derived from it, checked against the
+brute-force oracle on random permutation groups of degree at most 6."""
 
 import pytest
 from hypothesis import assume, given
@@ -9,7 +10,7 @@ from formations.dsl import parse_group
 from formations.errors import NotNormal
 from formations.groups import (Subgroup, as_group, bits_of, map_bits_from_sub,
                                quotient, subquotient)
-from formations.lattice import all_subgroups
+from formations.lattice import all_subgroups, normal_subgroups
 
 from conftest import PROPERTY, members, mult, perm_groups, table_of
 from oracle import (map_bits_to_sub, o_normal_subgroups, o_quotient_table,
@@ -111,9 +112,47 @@ def test_subquotient_builds_no_subgroup_table():
     k = next(k for k in all_subgroups(g).subgroups
              if k.order == 4 and k.bits & h.bits == k.bits)
     assert subquotient(h, k.bits).base.order == 2
-    assert h.bits not in g._materialized
+    assert all(sec.order != 8 for sec in g._registry.values())
     with pytest.raises(ValueError, match="not inside"):
         subquotient(k, h.bits)
+
+
+@PROPERTY
+@given(perm_groups())
+def test_quotient_and_as_group_are_subquotients(g):
+    """as_group(H) is the base of H/1, and G/N that of subquotient(G, N),
+    whichever of the two is asked first."""
+    assume(g.order <= 24)
+    lat = all_subgroups(g)
+    for i, h in enumerate(lat.subgroups):
+        if i % 2:
+            assert as_group(h) is subquotient(h, 1).base
+        else:
+            assert subquotient(h, 1).base is as_group(h)
+    for i, n in enumerate(normal_subgroups(g)):
+        if i % 2:
+            assert quotient(g, n).base is subquotient(g.full_subgroup(), n.bits).base
+        else:
+            assert subquotient(g.full_subgroup(), n.bits).base is quotient(g, n).base
+
+
+@pytest.mark.parametrize("extra_order", [2, 3])
+def test_member_set_not_closed_is_refused(extra_order):
+    """V4 in S4 with one more element of order 2 (5 members), or with the
+    coset V4*x for an x of order 3 (8 members, x*x outside), is not a
+    group: both as_group and subquotient over K = 1 and K = V4 refuse it."""
+    g = parse_group("S4")
+    v4 = next(n for n in normal_subgroups(g) if n.order == 4)
+    x = next(x for x, o in enumerate(g.element_orders())
+             if o == extra_order and not v4.bits >> x & 1)
+    extra = 1 << x if extra_order == 2 else \
+        bits_of(mult(g, y, x) for y in members(v4.bits))
+    h = Subgroup(g, v4.bits | extra)
+    with pytest.raises(ValueError, match="not closed"):
+        as_group(h)
+    for kbits in (1, v4.bits):
+        with pytest.raises(ValueError, match="not closed"):
+            subquotient(h, kbits)
 
 
 def test_klein_four_subgroups_share_one_group():
