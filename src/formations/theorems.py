@@ -13,7 +13,6 @@ quotient group itself. Both are memoized.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import gcd
@@ -416,9 +415,10 @@ def verify_lemma(lemma_id: str, g: FiniteGroup, **instance) -> TheoremReport:
 
 
 def lemma_parameters(lemma_id: str) -> tuple[str, ...]:
-    """The instance parameters a lemma's checker takes, read from its
-    signature (the group excluded)."""
-    return tuple(inspect.signature(_LEMMAS[lemma_id]).parameters)[1:]
+    """The instance parameters a lemma's checker takes, read from its code
+    (the group excluded); every checker is a plain function or lambda."""
+    code = _LEMMAS[lemma_id].__code__
+    return code.co_varnames[1:code.co_argcount]
 
 
 def _lemma_2_1_1(g, f: Formation, h_bits: int, k_bits: int) -> TheoremReport:
