@@ -17,8 +17,7 @@ from typing import Optional
 
 from .dsl import formation_from_text, parse_group
 from .errors import FormationsError, InvalidParams
-from .formation import (BUILTINS, Formation, f_hypercentre, is_f_critical,
-                        member, residual)
+from .formation import f_hypercentre, is_f_critical, member, residual
 from .groups import DEFAULT_ORDER_CAP
 from .harness import (DEFAULT_SEED, LEMMA_INSTANCES_PER_GROUP, RunConfig, SUITES,
                       lemma_instances, run_corpus)
@@ -33,12 +32,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_ERROR = 3
-
-
-def _formation_arg(text: str) -> Formation:
-    if text in BUILTINS:
-        return BUILTINS[text]
-    return formation_from_text(text)
 
 
 def _emit(doc: dict, args) -> None:
@@ -69,7 +62,7 @@ def _print_text(doc: dict, indent: int = 0) -> None:
 
 def cmd_analyze(args) -> int:
     g = parse_group(args.group, cap=args.order_cap)
-    f = _formation_arg(args.formation)
+    f = formation_from_text(args.formation)
     prof = profile(g)
     res = residual(g, f)
     doc = {
@@ -123,7 +116,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_classify(args) -> int:
     g = parse_group(args.group, cap=args.order_cap)
-    f = _formation_arg(args.formation)
+    f = formation_from_text(args.formation)
     outcome = classify_type(g, args.n, f)
     doc = {"command": "classify", "group": g.name, "formation": f.name,
            "n": args.n, **outcome.to_json()}
@@ -134,7 +127,7 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     if bool(args.theorem) == bool(args.lemma):
         raise InvalidParams("verify needs exactly one of --theorem or --lemma")
-    f = _formation_arg(args.formation) if args.formation else None
+    f = formation_from_text(args.formation) if args.formation else None
     overrides = {}  # for a lemma: parameter name -> flag value
     if args.theorem:
         if args.r is not None and args.theorem != "A":

@@ -4,7 +4,9 @@ Formation grammar ('*' binds tighter than '&', both left-associative):
 
     expr  := term (('*' | '&') term)*
     term  := prim | '(' expr ')'
-    prim  := 'N' | 'U' | 'S' | 'N^' int | 'Gp(' prime ')' | 'A(' int ')'
+    prim  := 'NA' | 'N' | 'U' | 'S' | 'N^' int | 'Gp(' prime ')' | 'A(' int ')'
+
+where NA is the class of groups with nilpotent commutator subgroup.
 
 Group specs are builtin names, products with 'x', or explicit permutation
 generators in 1-based cycle notation:
@@ -12,19 +14,22 @@ generators in 1-based cycle notation:
     S4
     Frob21 x C2
     perm 5: (1 2 3 4 5), (2 5)(3 4)
+
+A spec is built as it is parsed: `group_builder` checks the syntax, the
+cycle points and the builtin names, and returns the function that builds
+the group. So a corpus file that names an unknown builtin fails to load.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional
 
 from .arith import is_prime
-from .errors import (ClosureExceedsCap, DslSemanticError, DslSyntaxError,
-                     UnknownBuiltin)
-from .formation import (Formation, abelian_exponent, intersection, p_groups,
-                        product, soluble_length_formation, NILPOTENT,
+from .errors import DslSemanticError, DslSyntaxError, UnknownBuiltin
+from .formation import (BUILTINS, Formation, abelian_exponent, intersection,
+                        p_groups, product, soluble_length_formation, NILPOTENT,
                         SUPERSOLUBLE, SOLUBLE)
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Permutation, cyclic,
                      direct_product, from_generators)
@@ -94,6 +99,9 @@ def _parse_term(sc: _Scanner) -> Formation:
         inner = _parse_and(sc)
         sc.take(")")
         return inner
+    if sc.text[sc.pos:sc.pos + 2] == "NA":
+        sc.pos += 2
+        return BUILTINS["NA"]
     if ch == "N":
         sc.pos += 1
         if sc.pos < len(sc.text) and sc.text[sc.pos] == "^":
@@ -131,51 +139,58 @@ def _parse_term(sc: _Scanner) -> Formation:
 # ---------------------------------------------------------------------------
 # group specs
 
-
-@dataclass(frozen=True)
-class Builtin:
-    name: str
-
-
-@dataclass(frozen=True)
-class Generators:
-    degree: int
-    cycles: tuple[str, ...]   # one cycle string per generator
-
-
-@dataclass(frozen=True)
-class GroupProduct:
-    left: "GroupSpec"
-    right: "GroupSpec"
-
-
-GroupSpec = Union[Builtin, Generators, GroupProduct]
+GroupBuilder = Callable[[str, int], FiniteGroup]
 
 _BUILTIN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
+# builtins spelled as specs of their own, parsed by the same parser
+_BUILTIN_SPECS = {
+    "V4": "C2 x C2",
+    "D2": "C2",
+    "D4": "C2 x C2",
+    "Q8": "perm 8: (1 2 5 6)(3 8 7 4), (1 3 5 7)(2 4 6 8)",
+    "SL23": "perm 8: (1 4 7)(2 8 5), (1 6 2 3)(4 7 8 5)",
+    "Frob21": "perm 7: (1 2 3 4 5 6 7), (2 3 5)(4 7 6)",
+}
 
-def parse_group_spec(text: str) -> GroupSpec:
+
+def group_builder(text: str) -> GroupBuilder:
+    """Check a group spec (syntax, cycle points, builtin names) and return
+    the function `(name, cap) -> FiniteGroup` that builds its group."""
     sc = _Scanner(text)
-    spec = _parse_group_product(sc)
+    build = _parse_group_product(sc)
     sc.skip_ws()
     if sc.pos != len(text):
         raise DslSyntaxError("trailing input", sc.pos)
-    return spec
+    return build
 
 
-def _parse_group_product(sc: _Scanner) -> GroupSpec:
+def parse_group(text: str, name: Optional[str] = None,
+                cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Parse a group spec and build the group (name defaults to the spec)."""
+    return group_builder(text)(name or text.strip(), cap)
+
+
+def _parse_group_product(sc: _Scanner) -> GroupBuilder:
+    start = sc.pos
     left = _parse_group_atom(sc)
     while True:
         sc.skip_ws()
-        if sc.text[sc.pos:sc.pos + 1] == "x" and not _BUILTIN_RE.match(sc.text[sc.pos + 1:sc.pos + 2] or " "):
-            sc.pos += 1
-            left = GroupProduct(left, _parse_group_atom(sc))
-        else:
-            break
-    return left
+        if sc.text[sc.pos:sc.pos + 1] != "x" or _BUILTIN_RE.match(sc.text[sc.pos + 1:sc.pos + 2] or " "):
+            return left
+        left = partial(left, sc.text[start:sc.pos].strip())
+        sc.pos += 1
+        right_start = sc.pos
+        right = _parse_group_atom(sc)
+        left = partial(_product, left, partial(right, sc.text[right_start:sc.pos].strip()))
 
 
-def _parse_group_atom(sc: _Scanner) -> GroupSpec:
+def _product(left, right, name: str, cap: int) -> FiniteGroup:
+    """The direct product of two operands, each a function of the cap."""
+    return direct_product(left(cap), right(cap), name=name, cap=cap)
+
+
+def _parse_group_atom(sc: _Scanner) -> GroupBuilder:
     sc.skip_ws()
     if sc.peek() == "(":
         sc.take("(")
@@ -190,26 +205,20 @@ def _parse_group_atom(sc: _Scanner) -> GroupSpec:
         sc.pos += 4
         degree = sc.integer()
         sc.take(":")
-        gens = []
-        while True:
+        gens = [_parse_cycles(sc, degree)]
+        while sc.peek() == ",":
+            sc.pos += 1
             gens.append(_parse_cycles(sc, degree))
-            sc.skip_ws()
-            if sc.text[sc.pos:sc.pos + 1] == ",":
-                sc.pos += 1
-            else:
-                break
-        return Generators(degree, tuple(gens))
+        return partial(from_generators, gens)
     m = _BUILTIN_RE.match(sc.text[sc.pos:])
     if not m:
         raise DslSyntaxError("expected a group spec", sc.pos)
     sc.pos += m.end()
-    return Builtin(m.group())
+    return _builtin(m.group())
 
 
-def _parse_cycles(sc: _Scanner, degree: int) -> str:
-    """One generator: a run of parenthesized 1-based cycles. Returns the
-    normalized cycle string."""
-    sc.skip_ws()
+def _parse_cycles(sc: _Scanner, degree: int) -> Permutation:
+    """One generator: a run of parenthesized 1-based cycles."""
     cycles = []
     while sc.peek() == "(":
         sc.take("(")
@@ -227,36 +236,34 @@ def _parse_cycles(sc: _Scanner, degree: int) -> str:
         if any(not 1 <= p <= degree for p in pts):
             raise DslSemanticError(f"cycle point out of range 1..{degree}: {pts}")
         if pts:
-            cycles.append(tuple(pts))
+            cycles.append([p - 1 for p in pts])
     if not cycles:
         raise DslSyntaxError("expected at least one cycle", sc.pos)
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
-
-
-def format_group_spec(spec: GroupSpec) -> str:
-    if isinstance(spec, Builtin):
-        return spec.name
-    if isinstance(spec, Generators):
-        return f"perm {spec.degree}: " + ", ".join(spec.cycles)
-    right = format_group_spec(spec.right)
-    if isinstance(spec.right, GroupProduct):
-        right = f"({right})"
-    return f"{format_group_spec(spec.left)} x {right}"
-
-
-def _cycles_to_perm(degree: int, text: str) -> Permutation:
-    cycles = []
-    for grp in re.findall(r"\(([^()]*)\)", text):
-        pts = [int(t) - 1 for t in grp.split()]
-        cycles.append(pts)
     return Permutation.from_cycles(degree, cycles)
 
 
-# builtin table ---------------------------------------------------------------
+def _builtin(token: str) -> GroupBuilder:
+    """The builder of a builtin name; UnknownBuiltin for any other name."""
+    if token in _BUILTIN_SPECS:
+        return group_builder(_BUILTIN_SPECS[token])
+    m = re.fullmatch(r"([CDSA])(\d+)", token)
+    kind, k = (m.group(1), int(m.group(2))) if m else ("", 0)
+    if kind == "C" and k >= 1:
+        return partial(cyclic, k)
+    if kind == "D" and k >= 6 and k % 2 == 0:
+        return partial(from_generators, _dihedral(k // 2))
+    if kind == "S" and 1 <= k <= 6:
+        return partial(from_generators, _symmetric(k))
+    if kind == "A" and 1 <= k <= 6:
+        return partial(from_generators, _alternating(k))
+    if kind == "D":
+        raise UnknownBuiltin(f"{token}: dihedral names are D<order> with even order >= 2")
+    raise UnknownBuiltin(f"unknown builtin group {token!r}")
 
-_SL23_GENS = (8, ("(1 4 7)(2 8 5)", "(1 6 2 3)(4 7 8 5)"))
-_FROB21_GENS = (7, ("(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"))
-_Q8_GENS = (8, ("(1 2 5 6)(3 8 7 4)", "(1 3 5 7)(2 4 6 8)"))
+
+def _dihedral(n: int) -> list[Permutation]:
+    return [Permutation.from_cycles(n, [tuple(range(n))]),
+            Permutation(tuple((n - i) % n for i in range(n)))]
 
 
 def _symmetric(n: int) -> list[Permutation]:
@@ -279,70 +286,3 @@ def _alternating(n: int) -> list[Permutation]:
     else:
         gens.append(Permutation.from_cycles(n, [tuple(range(1, n))]))
     return gens
-
-
-def build_group(spec: GroupSpec, name: Optional[str] = None,
-                cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    if isinstance(spec, GroupProduct):
-        left = build_group(spec.left, cap=cap)
-        right = build_group(spec.right, cap=cap)
-        return direct_product(left, right, name=name or format_group_spec(spec), cap=cap)
-    if isinstance(spec, Generators):
-        gens = [_cycles_to_perm(spec.degree, c) for c in spec.cycles]
-        return from_generators(gens, name or format_group_spec(spec), cap=cap)
-    return _build_builtin(spec.name, name, cap)
-
-
-def _build_builtin(token: str, name: Optional[str], cap: int) -> FiniteGroup:
-    label = name or token
-    if token == "V4":
-        return _build_builtin_product(("C2", "C2"), label, cap)
-    if token == "Q8":
-        deg, cycs = _Q8_GENS
-        return from_generators([_cycles_to_perm(deg, c) for c in cycs], label, cap=cap)
-    if token == "SL23":
-        deg, cycs = _SL23_GENS
-        return from_generators([_cycles_to_perm(deg, c) for c in cycs], label, cap=cap)
-    if token == "Frob21":
-        deg, cycs = _FROB21_GENS
-        return from_generators([_cycles_to_perm(deg, c) for c in cycs], label, cap=cap)
-    m = re.fullmatch(r"C(\d+)", token)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise UnknownBuiltin(f"C{n}: order must be positive")
-        if n > cap:
-            raise ClosureExceedsCap(f"C{n} exceeds cap {cap}")
-        return cyclic(n, label)
-    m = re.fullmatch(r"D(\d+)", token)
-    if m:
-        k = int(m.group(1))
-        if k < 2 or k % 2:
-            raise UnknownBuiltin(f"{token}: dihedral names are D<order> with even order >= 2")
-        n = k // 2
-        if n == 1:
-            return _build_builtin("C2", label, cap)
-        rot = Permutation.from_cycles(n, [tuple(range(n))])
-        ref = Permutation(tuple((n - i) % n for i in range(n)))
-        return from_generators([rot, ref], label, cap=cap)
-    m = re.fullmatch(r"S(\d)", token)
-    if m and 1 <= int(m.group(1)) <= 6:
-        return from_generators(_symmetric(int(m.group(1))), label, cap=cap)
-    m = re.fullmatch(r"A(\d)", token)
-    if m and 1 <= int(m.group(1)) <= 6:
-        return from_generators(_alternating(int(m.group(1))), label, cap=cap)
-    raise UnknownBuiltin(f"unknown builtin group {token!r}")
-
-
-def _build_builtin_product(tokens, label, cap):
-    out = _build_builtin(tokens[0], None, cap)
-    for t in tokens[1:]:
-        out = direct_product(out, _build_builtin(t, None, cap), cap=cap)
-    out.name = label
-    return out
-
-
-def parse_group(text: str, name: Optional[str] = None,
-                cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Parse a group spec and build the group (name defaults to the spec)."""
-    return build_group(parse_group_spec(text), name=name or text.strip(), cap=cap)

@@ -462,11 +462,13 @@ def from_generators(gens: Sequence[Permutation], name: str,
     return FiniteGroup(name, rows, generators=gen_idx)
 
 
-def cyclic(n: int, name: str) -> FiniteGroup:
+def cyclic(n: int, name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Cyclic group of order n, element k standing for the k-th power of
     the generator 1 (generators [0] when n = 1): row k is x -> x + k mod n.
     This is the table, generators and name that `from_generators` gives for
     the n-cycle, built without enumerating n-tuples."""
+    if n > cap:
+        raise ClosureExceedsCap(f"{name}: order {n} exceeds cap {cap}")
     rows = [tuple(chain(range(k, n), range(k))) for k in range(n)]
     return FiniteGroup(name, rows, generators=[1] if n > 1 else [0])
 

@@ -19,7 +19,7 @@ from operator import and_, or_
 from pathlib import Path
 from typing import Optional
 
-from .dsl import parse_group_spec
+from .dsl import group_builder
 from .errors import CacheVersionMismatch, CorpusParseError, FormationsError
 from .groups import FiniteGroup, Subgroup, bits_of
 from .lattice import SubgroupLattice
@@ -70,7 +70,7 @@ def load_corpus(path) -> list[CorpusEntry]:
             raise CorpusParseError(f"corpus entry {i} ({item['name']}): 'tags' must be a list")
         spec = str(item["spec"])
         try:
-            parse_group_spec(spec)
+            group_builder(spec)
         except FormationsError as exc:
             raise CorpusParseError(
                 f"corpus entry {i} ({item['name']}): unparseable spec: {exc}") from exc

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -8,6 +10,35 @@ from formations.groups import Permutation, from_generators
 from oracle import o_perm_elements
 
 PROPERTY = settings(max_examples=150, deadline=None)
+
+TEST_SECONDS = 300  # wall-clock limit of one test, its fixtures' set-up included
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past TEST_SECONDS. Not an Exception, so
+    neither the code under test nor hypothesis's shrinker catches it."""
+
+
+def _time_out(signum, frame):
+    raise TimeLimitExceeded(f"test ran longer than {TEST_SECONDS} s")
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fail any single test after TEST_SECONDS instead of letting a loop
+    that never ends hang the whole run (SIGALRM, so POSIX only). A hook
+    rather than an autouse fixture: a function-scoped fixture is set up
+    after the module-scoped ones, such as test_acceptance's corpus runs,
+    and would not time them."""
+    if not hasattr(signal, "SIGALRM"):
+        return (yield)
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.alarm(TEST_SECONDS)
+    try:
+        return (yield)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,9 @@ def test_analyze_text(capsys):
     assert code == 0
     assert "residual_order: 4" in out
     assert "nilpotent_length: 3" in out
+    code, out, _ = run(capsys, "analyze", "--group", "S4", "--formation", "NA*U")
+    assert code == 0
+    assert "formation: NA*U" in out and "in_class: True" in out
 
 
 def test_analyze_dsl_error(capsys):
@@ -25,9 +28,13 @@ def test_analyze_dsl_error(capsys):
     assert "error" in err
 
 
-def test_unknown_group(capsys):
+def test_unknown_group(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--group", "Nope", "--formation", "N")
     assert code == 2
+    path = tmp_path / "c.json"
+    write_corpus([CorpusEntry("S3", "S3"), CorpusEntry("bad", "Zork")], path)
+    code, out, err = run(capsys, "corpus", "--path", str(path))
+    assert code == 2 and out == "" and "Zork" in err
 
 
 def test_lattice_command(capsys):

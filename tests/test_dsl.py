@@ -1,13 +1,12 @@
 import pytest
 
-from formations.dsl import (Builtin, Generators, GroupProduct,
-                            format_group_spec, formation_from_text, parse_group,
-                            parse_group_spec)
+from formations.dsl import formation_from_text, parse_group
 from formations.errors import (ClosureExceedsCap, DslSemanticError,
                                DslSyntaxError, UnknownBuiltin)
 from formations.formation import (BUILTINS, NILPOTENT, SOLUBLE, SUPERSOLUBLE,
                                   abelian_exponent, canonical_satellite, member,
                                   p_groups, soluble_length_formation)
+from formations.groups import direct_product
 
 
 def test_parse_prims():
@@ -18,12 +17,15 @@ def test_parse_prims():
     assert formation_from_text("N^3") is soluble_length_formation(3)
     assert formation_from_text("Gp(7)") == p_groups(7)
     assert formation_from_text("A(6)") == abelian_exponent(6)
+    assert formation_from_text("NA") is BUILTINS["NA"]
 
 
 def test_parse_precedence():
     assert formation_from_text("N*U&S").key == "((N*U)&S)"
     assert formation_from_text("N*(U&S)").key == "(N*(U&S))"
     assert formation_from_text("N*U*S").key == "((N*U)*S)"
+    assert formation_from_text("NA*U").name == "NA*U"
+    assert formation_from_text("N&NA").key == "(N&NA)"
 
 
 def test_parse_errors():
@@ -62,22 +64,6 @@ def test_compiled_satellite_equivalence(groups):
         assert member(f, g) == member(ref, g), name
 
 
-def test_group_spec_parse():
-    assert parse_group_spec("S4") == Builtin("S4")
-    spec = parse_group_spec("perm 5: (1 2 3 4 5), (2 5)(3 4)")
-    assert spec == Generators(5, ("(1 2 3 4 5)", "(2 5)(3 4)"))
-    prod = parse_group_spec("S3 x C2")
-    assert prod == GroupProduct(Builtin("S3"), Builtin("C2"))
-
-
-def test_group_spec_roundtrip():
-    for text in ("S4", "S3 x C2", "S3 x (C2 x C4)",
-                 "perm 5: (1 2 3 4 5), (2 5)(3 4)",
-                 "perm 3: (1 2 3) x C2"):
-        tree = parse_group_spec(text)
-        assert parse_group_spec(format_group_spec(tree)) == tree
-
-
 def test_group_building(groups):
     assert parse_group("S4").order == 24
     assert parse_group("perm 5: (1 2 3 4 5), (2 5)(3 4)").order == 10
@@ -86,6 +72,12 @@ def test_group_building(groups):
     assert parse_group("D8").order == 8
     assert parse_group("A6").order == 360
     assert parse_group("S3 x C2").order == 12
+    nested = parse_group("S3 x (C2 x C4)")
+    assert nested.order == 48
+    assert nested.right_rows == direct_product(
+        parse_group("S3"), direct_product(parse_group("C2"), parse_group("C4"))).right_rows
+    assert parse_group("D2").right_rows == parse_group("C2").right_rows
+    assert parse_group("D4").right_rows == parse_group("V4").right_rows
 
 
 def test_group_spec_errors():
@@ -101,6 +93,8 @@ def test_group_spec_errors():
         parse_group("perm 3: (1 1 2)")  # repeated point
     with pytest.raises(ClosureExceedsCap):
         parse_group("S5", cap=50)
+    with pytest.raises(ClosureExceedsCap):
+        parse_group("C9", cap=8)
     with pytest.raises(DslSyntaxError):
         parse_group("perm 4: (1 2")
 

@@ -91,6 +91,14 @@ def test_cyclic_is_the_n_cycle(n):
     assert a.name == b.name
 
 
+def test_describe_lists_at_most_16_members():
+    """A witness lists a subgroup's members in full up to 16 of them, and
+    the first 16 then ', ...' past that."""
+    c16, c17 = (parse_group(f"C{n}").full_subgroup() for n in (16, 17))
+    assert c16.describe() == f"order 16 <= C16, members [{', '.join(map(str, range(16)))}]"
+    assert c17.describe() == f"order 17 <= C17, members [{', '.join(map(str, range(16)))}, ...]"
+
+
 def test_subgroup_gens_memoized_per_bits(monkeypatch):
     """Subgroups built from the same bare bits share one generating set:
     the second makes no closure."""

@@ -91,6 +91,7 @@ def test_lattice_caps():
     g = parse_group("C30")
     with pytest.raises(LatticeExceedsCap):
         all_subgroups(g, order_cap=10)
+    assert len(all_subgroups(g, order_cap=30).subgroups) == 8  # the cap is inclusive
 
 
 def test_maximal_subgroups(groups):

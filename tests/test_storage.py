@@ -37,11 +37,13 @@ def test_load_corpus_object_form(tmp_path):
 
 
 def test_corpus_unparseable_spec(tmp_path):
+    """A syntax error and an unknown builtin name both fail the load."""
     p = tmp_path / "c.json"
-    p.write_text('[{"name": "bad", "spec": "(1 2", "tags": []}]')
-    with pytest.raises(CorpusParseError) as err:
-        load_corpus(p)
-    assert "entry 0" in str(err.value) and "bad" in str(err.value)
+    for spec in ("(1 2", "Zork", "D7", "S3 x Zork"):
+        p.write_text(f'[{{"name": "bad", "spec": "{spec}", "tags": []}}]')
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus(p)
+        assert "entry 0" in str(err.value) and "bad" in str(err.value), spec
 
 
 def test_corpus_errors(tmp_path):
