@@ -172,22 +172,19 @@ def parse_group(text: str, name: Optional[str] = None,
 
 
 def _parse_group_product(sc: _Scanner) -> GroupBuilder:
-    start = sc.pos
     left = _parse_group_atom(sc)
     while True:
         sc.skip_ws()
         if sc.text[sc.pos:sc.pos + 1] != "x" or _BUILTIN_RE.match(sc.text[sc.pos + 1:sc.pos + 2] or " "):
             return left
-        left = partial(left, sc.text[start:sc.pos].strip())
         sc.pos += 1
-        right_start = sc.pos
-        right = _parse_group_atom(sc)
-        left = partial(_product, left, partial(right, sc.text[right_start:sc.pos].strip()))
+        left = partial(_product, left, _parse_group_atom(sc))
 
 
-def _product(left, right, name: str, cap: int) -> FiniteGroup:
-    """The direct product of two operands, each a function of the cap."""
-    return direct_product(left(cap), right(cap), name=name, cap=cap)
+def _product(left: GroupBuilder, right: GroupBuilder, name: str, cap: int) -> FiniteGroup:
+    """The direct product of two operands, each built under the product's
+    name, so that a cap error names the spec being built."""
+    return direct_product(left(name, cap), right(name, cap), name=name, cap=cap)
 
 
 def _parse_group_atom(sc: _Scanner) -> GroupBuilder:
