@@ -72,6 +72,7 @@ def test_group_building(groups):
     assert parse_group("D8").order == 8
     assert parse_group("A6").order == 360
     assert parse_group("S3 x C2").order == 12
+    assert parse_group("perm 3: (1 2 3) x C2").order == 6
     nested = parse_group("S3 x (C2 x C4)")
     assert nested.order == 48
     assert nested.right_rows == direct_product(
