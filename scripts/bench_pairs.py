@@ -14,8 +14,10 @@ For every workload and end-to-end metric of BENCHMARK.json this prints,
 and writes to --out, the summary the BENCH_*.json files carry: both
 medians, inclusive quartiles, the number of pairs in which the change read
 lower and higher (ties count for neither), the relative change of the
-median, and whether that change stays within the metric's bound in the
-direction that is worse. Every pair's figures are written as well.
+median, whether that change stays within the metric's bound in the
+direction that is worse, and whether it shows a gain: better in at least 9
+of 10 pairs, with the medians further apart than the parent's quartiles.
+Every pair's figures are written as well.
 """
 
 from __future__ import annotations
@@ -40,27 +42,36 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     `relative_change` is change median / parent median - 1 (the difference
     itself when the parent median is 0); `within_bound` holds when that
     change, counted in the direction `better` calls worse, is at most bound.
+    `gain_shown` holds when the change is better in at least nine tenths of
+    the pairs (ties count for neither) and its median is better than the
+    parent's by more than the distance between the parent's quartiles.
     """
     pm, cm = statistics.median(parent), statistics.median(change)
     rel = cm / pm - 1 if pm else cm - pm
     worse = rel if better == "lower" else -rel
+    lower = sum(c < p for p, c in zip(parent, change))
+    higher = sum(c > p for p, c in zip(parent, change))
+    wins = lower if better == "lower" else higher
+    gain = pm - cm if better == "lower" else cm - pm
+    pq, cq = _quartiles(parent), _quartiles(change)
     return {
         "parent_median": round(pm, 5),
-        "parent_quartiles": _quartiles(parent),
+        "parent_quartiles": [round(q, 5) for q in pq],
         "change_median": round(cm, 5),
-        "change_quartiles": _quartiles(change),
-        "change_lower_in": sum(c < p for p, c in zip(parent, change)),
-        "change_higher_in": sum(c > p for p, c in zip(parent, change)),
+        "change_quartiles": [round(q, 5) for q in cq],
+        "change_lower_in": lower,
+        "change_higher_in": higher,
         "relative_change": round(rel, 4),
         "within_bound": worse <= bound,
+        "gain_shown": 10 * wins >= 9 * len(parent) and gain > pq[1] - pq[0],
     }
 
 
 def _quartiles(values: list[float]) -> list[float]:
     if len(values) < 2:
-        return [round(values[0], 5)] * 2
+        return [values[0]] * 2
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q1, 5), round(q3, 5)]
+    return [q1, q3]
 
 
 def run_side(tree: Path, workload: str, seed: int) -> dict:
@@ -132,7 +143,7 @@ def main() -> int:
                       f"change IQR {s['change_quartiles']}, lower in "
                       f"{s['change_lower_in']}/{len(pairs)}, higher in "
                       f"{s['change_higher_in']}/{len(pairs)}, within bound: "
-                      f"{s['within_bound']}", flush=True)
+                      f"{s['within_bound']}, gain shown: {s['gain_shown']}", flush=True)
             if args.out:
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

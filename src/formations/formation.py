@@ -312,11 +312,19 @@ BUILTINS: dict[str, Formation] = {
 # canonical local satellites, chief-factor centrality and the hypercentre
 
 
+_SATELLITES: dict[tuple[str, int], Formation] = {}
+
+
 def canonical_satellite(f: Formation, p: int) -> Formation:
-    """Canonical local satellite value F(p) for the built-in table."""
+    """Canonical local satellite value F(p) for the built-in table, built by
+    `f.satellite_fn` once per (f.key, p)."""
     if not f.has_satellite:
         raise NoSatellite(f"{f.name} has no canonical satellite table")
-    return f.satellite_fn(p)
+    key = (f.key, p)
+    fp = _SATELLITES.get(key)
+    if fp is None:
+        fp = _SATELLITES[key] = f.satellite_fn(p)
+    return fp
 
 
 def factor_centralizer_bits(g: FiniteGroup, factor: ChiefFactor) -> int:

@@ -39,7 +39,10 @@ has index below 6, it is 60 for an H of order 2, not 180.
 Everything that only needs *normal* subgroups (chief series, Fitting, O_p
 cores) is computed directly from the closures of conjugacy classes instead,
 which keeps membership predicates usable on groups whose full lattice would
-be expensive. A group's order is capped when it is built; the lattice walk
+be expensive. The atoms are the normal closures of the cyclic subgroups,
+one class closed per cyclic subgroup, and the normal subgroups are their
+join closure, where an atom that is already a join of earlier ones is
+skipped. A group's order is capped when it is built; the lattice walk
 and the normal subgroups are capped by their output, the caller's subgroup
 cap or else DEFAULT_SUBGROUP_CAP as it reads when called, and raise
 LatticeExceedsCap past it.
@@ -48,6 +51,7 @@ LatticeExceedsCap past it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .arith import factorize, p_part, pi_part, prime_divisors
@@ -134,10 +138,13 @@ def all_subgroups(g: FiniteGroup,
     walk.add_class([0], 1, ())
 
     # cyclic subgroups of prime-power order, one class of elements at a time
+    orders = g.element_orders()
     for cls in conjugacy_classes(g)[1:]:
         x = cls[0]
+        if len(prime_divisors(orders[x])) > 1:
+            continue
         bits = g.closure_bits([x])
-        if bits not in walk.found and len(prime_divisors(bits.bit_count())) == 1:
+        if bits not in walk.found:
             walk.add_class(indices_of(bits), bits, (x,))
     ext = _Extenders(g, [gens[0] for bits, gens in walk.found.items() if bits != 1])
     cores = _cores(g, subgroup_cap)
@@ -348,10 +355,29 @@ def _covers(subs: list[Subgroup], i: int, out: list[list[int]]) -> list[int]:
 def _normal_atoms(g: FiniteGroup) -> list[int]:
     """Deduplicated normal closures of the cyclic subgroups of g, sorted by
     (order, bits). The normal closure of <x> is generated by the class of
-    x, so each nontrivial class is closed once. Memoized on the group."""
+    x, and every generator x^k of <x> (k prime to the order of x) has the
+    same one, so one class is closed per cyclic subgroup: once x's class
+    is closed, the classes of all generators of <x> are passed over.
+    Memoized on the group."""
     atoms = g._memo.get("normal_atoms")
     if atoms is None:
-        found = {g.closure_bits(cls) for cls in conjugacy_classes(g)[1:]}
+        classes, orders = conjugacy_classes(g), g.element_orders()
+        class_of = [0] * g.order
+        for i, cls in enumerate(classes):
+            for y in cls:
+                class_of[y] = i
+        done = bytearray(len(classes))
+        found = set()
+        for i in range(1, len(classes)):
+            if done[i]:
+                continue
+            found.add(g.closure_bits(classes[i]))
+            x = classes[i][0]
+            o, row, y = orders[x], g.right_row(x), x
+            for k in range(1, o):  # y = x^k
+                if gcd(k, o) == 1:
+                    done[class_of[y]] = 1
+                y = row[y]
         atoms = sorted(found, key=lambda b: (b.bit_count(), b))
         g._memo["normal_atoms"] = atoms
     return atoms
@@ -362,7 +388,10 @@ def normal_subgroups(g: FiniteGroup, subgroup_cap: Optional[int] = None) -> list
 
     Computed as the join closure of the normal closures of cyclic subgroups,
     adding one closure at a time; every normal subgroup is a join of such
-    closures, and the join of two normal subgroups is their product.
+    closures, and the join of two normal subgroups is their product. After
+    each atom, `known` holds every join of the atoms taken so far. So an
+    atom A already in `known` adds nothing: each N*A is such a join too,
+    and the atom is skipped without a product.
     Raises LatticeExceedsCap when g has more than subgroup_cap (default
     DEFAULT_SUBGROUP_CAP) normal subgroups, whether or not they are cached.
     """
@@ -375,6 +404,8 @@ def normal_subgroups(g: FiniteGroup, subgroup_cap: Optional[int] = None) -> list
         return cached
     known = {1}
     for a in _normal_atoms(g):  # the joins of the atoms so far, with a
+        if a in known:  # a join already, so every N*A is known too
+            continue
         known |= {product_bits(g, n, a) for n in known if a & n != a}
         if len(known) > subgroup_cap:
             raise LatticeExceedsCap(f"{g.name}: more than {subgroup_cap} normal subgroups")

@@ -186,14 +186,20 @@ def dispersiveness(g: FiniteGroup) -> tuple[bool, Optional[DispersiveOrdering]]:
 
 def induced_action(h: Subgroup, p_sub: Subgroup) -> QuotientGroup:
     """The automorphism action of h on p_sub by conjugation, as the quotient
-    H/C_H(P) of the materialized h."""
+    H/C_H(P) of the materialized h. C_H(P) is C_G(P) & H, and C_G(P) is
+    memoized on the parent per P's bits, so every subgroup acting on one P
+    shares one centralizer scan."""
     g = h.parent
     if p_sub.parent is not g:
         raise ValueError("subgroups must share a parent")
     for x in h.gens:
         if conjugate_bits(g, p_sub.bits, x) != p_sub.bits:
             raise NotNormalized(f"subgroup does not normalize the target in {g.name}")
-    return subquotient(h, centralizer(g, p_sub.gens).bits & h.bits)
+    key = ("centralizer", p_sub.bits)
+    cbits = g._memo.get(key)
+    if cbits is None:
+        cbits = g._memo[key] = centralizer(g, p_sub.gens).bits
+    return subquotient(h, cbits & h.bits)
 
 
 def is_subnormal(g: FiniteGroup, h: Subgroup) -> bool:

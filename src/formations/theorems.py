@@ -240,13 +240,13 @@ def _ii2_checks(g, a, n, f, failures) -> list[str]:
     automorphism group in F(p). A is nilpotent, so its p-elements form its
     only Sylow p-subgroup."""
     lat = all_subgroups(g)
+    sylows = [(p, Subgroup(g, p_element_bits(g, p, a.bits))) for p in prime_divisors(a.order)]
     records = []
     for h in lat.n_maximal(n):
         if not subgroup_member(f, h):
             failures.append(f"n-maximal subgroup ({h.describe()}) is outside the class")
             continue
-        for p in prime_divisors(a.order):
-            psub = Subgroup(g, p_element_bits(g, p, a.bits))
+        for p, psub in sylows:
             verdict = _action_in_satellite(g, h, psub, f, p)
             records.append(f"H order {h.order}, p={p}: {'ok' if verdict else 'fail'}")
             if not verdict:

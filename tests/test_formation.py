@@ -123,6 +123,7 @@ def test_canonical_satellite_table(groups):
     f_u2 = canonical_satellite(U, 2)
     assert not member(f_u2, groups["S3"])
     assert member(canonical_satellite(S, 5), groups["S4"])
+    assert canonical_satellite(U, 3) is f_u3  # built once per (formation, prime)
     with pytest.raises(NoSatellite):
         canonical_satellite(product(N, U), 2)
 

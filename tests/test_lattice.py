@@ -6,15 +6,16 @@ from hypothesis import assume, example, given
 from formations.dsl import parse_group
 from formations.errors import LatticeExceedsCap
 from formations.groups import conjugates, is_normal
-from formations.lattice import (_cores, _overgroup_bound, all_subgroups,
-                                chief_series, fitting, frattini, hall,
-                                minimal_normal_subgroups, normal_subgroups,
-                                o_core, sylow)
+from formations.lattice import (_cores, _normal_atoms, _overgroup_bound,
+                                all_subgroups, chief_series, fitting,
+                                frattini, hall, minimal_normal_subgroups,
+                                normal_subgroups, o_core, sylow)
 
 from conftest import PROPERTY, factor_orders, of_order, perm_groups, table_of
-from oracle import (o_chief_order_multisets, o_fitting, o_frattini,
-                    o_maximal_in, o_maximal_positions, o_n_maximal,
-                    o_normal_subgroups, o_subgroups)
+from oracle import (o_chief_order_multisets, o_cyclic_subgroups, o_fitting,
+                    o_frattini, o_maximal_in, o_maximal_positions,
+                    o_n_maximal, o_normal_closure, o_normal_subgroups,
+                    o_subgroups)
 
 
 def bitset(s):
@@ -63,6 +64,7 @@ def test_maximals_match_containment_scan(name):
 @example(parse_group("A5"))
 @example(parse_group("S5"))
 @example(parse_group("A6"))
+@example(parse_group("S3 x C5"))  # C2 x C5 holds an involution: its bound is 10
 def test_overgroup_bound_is_sound(g):
     """No proper subgroup containing H is larger than the bound a Dimino
     step from H stops at. Every proper subgroup lies in a maximal one, so
@@ -137,6 +139,41 @@ def test_normal_subgroups(groups):
     assert len(normal_subgroups(c12)) == len(all_subgroups(c12).subgroups)
     a5 = groups["A5"]
     assert [s.order for s in normal_subgroups(a5)] == [1, 60]
+
+
+@pytest.mark.parametrize("spec", ["C2 x C6", "C3 x C6", "C2 x C2 x C6", "S3 x C6",
+                                  "D10 x C3"])
+def test_normal_structure_matches_oracle(spec):
+    """Groups with several generators per cyclic subgroup and atoms that
+    are joins of earlier ones, where `_normal_atoms` passes classes over
+    and `normal_subgroups` skips atoms."""
+    g = parse_group(spec)
+    table = table_of(g)
+    normal = o_normal_subgroups(table)
+    assert {bitset(s) for s in normal_subgroups(g)} == normal
+    nontrivial = [s for s in normal if len(s) > 1]
+    assert ({bitset(s) for s in minimal_normal_subgroups(g)}
+            == {s for s in nontrivial if not any(t < s for t in nontrivial)})
+    assert bitset(fitting(g)) == o_fitting(table)
+
+
+@PROPERTY
+@given(perm_groups())
+def test_normal_atoms_match_oracle(g):
+    """The atoms are the normal closures of the nontrivial cyclic
+    subgroups, each once, sorted by (order, bits)."""
+    assume(g.order <= 48)
+    table = table_of(g)
+    closures = {o_normal_closure(table, c) for c in o_cyclic_subgroups(table) if len(c) > 1}
+    expected = sorted((sum(1 << x for x in c) for c in closures),
+                      key=lambda b: (b.bit_count(), b))
+    assert _normal_atoms(g) == expected
+
+
+def test_normal_subgroups_of_c2_5():
+    """C2^5 has 374 subgroups, all normal: every atom after the fifth is a
+    join of earlier ones."""
+    assert len(normal_subgroups(parse_group("C2 x C2 x C2 x C2 x C2"))) == 374
 
 
 @PROPERTY
