@@ -40,12 +40,12 @@ Everything that only needs *normal* subgroups (chief series, Fitting, O_p
 cores) is computed directly from the closures of conjugacy classes instead,
 which keeps membership predicates usable on groups whose full lattice would
 be expensive. The atoms are the normal closures of the cyclic subgroups,
-one class closed per cyclic subgroup, and the normal subgroups are their
-join closure, where an atom that is already a join of earlier ones is
-skipped. A group's order is capped when it is built; the lattice walk
-and the normal subgroups are capped by their output, the caller's subgroup
-cap or else DEFAULT_SUBGROUP_CAP as it reads when called, and raise
-LatticeExceedsCap past it.
+one class closed per conjugacy class of cyclic subgroups, and the normal
+subgroups are their join closure, where an atom that is already a join of
+earlier ones is skipped. A group's order is capped when it is built; the
+lattice walk and the normal subgroups are capped by their output, the
+caller's subgroup cap or else DEFAULT_SUBGROUP_CAP as it reads when called,
+and raise LatticeExceedsCap past it.
 """
 
 from __future__ import annotations
@@ -356,8 +356,9 @@ def _normal_atoms(g: FiniteGroup) -> list[int]:
     """Deduplicated normal closures of the cyclic subgroups of g, sorted by
     (order, bits). The normal closure of <x> is generated by the class of
     x, and every generator x^k of <x> (k prime to the order of x) has the
-    same one, so one class is closed per cyclic subgroup: once x's class
-    is closed, the classes of all generators of <x> are passed over.
+    same one, as do their conjugates. So one class is closed per conjugacy
+    class of cyclic subgroups: once x's class is closed, the classes of all
+    generators of <x> are passed over.
     Memoized on the group."""
     atoms = g._memo.get("normal_atoms")
     if atoms is None:
