@@ -310,12 +310,17 @@ class FiniteGroup:
         return True
 
 
+_SHORT_ORDER = 6  # up to this element order, a walk of powers settles two elements
+
+
 def _inverses_and_orders(rows: Rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Each element's inverse and order, from one walk of powers per cyclic
-    subgroup: the powers y, y^2, ... of an element y not yet settled are
-    read off row y up to y^o = 1, and each y^i then has order o/gcd(i, o)
-    and inverse y^(o-i). So a cyclic group costs one walk of |G| steps,
-    not the sum of its element orders.
+    """Each element's inverse and order, from walks of powers along row y
+    for each y not yet settled. A walk that reaches y^o = 1 with
+    o <= _SHORT_ORDER settles y and its inverse y^(o-1), both of order o.
+    A longer one is walked again with every power kept, and each y^i then
+    has order o/gcd(i, o) and inverse y^(o-i). So groups of small exponent
+    take two stores per short walk and no list, and a cyclic group costs
+    two walks of |G| steps, not the sum of its element orders.
 
     Raises ValueError when some y has no power equal to the identity
     within |G| steps, which no group table allows.
@@ -326,7 +331,13 @@ def _inverses_and_orders(rows: Rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for y in range(1, n):
         if orders[y]:
             continue
-        row = rows[y]
+        row, last, x, o = rows[y], y, rows[y][y], 2
+        while x and o < _SHORT_ORDER:  # x = y^o, last = y^(o-1)
+            last, x, o = x, row[x], o + 1
+        if not x:
+            orders[y] = orders[last] = o
+            inv[y], inv[last] = last, y
+            continue
         powers, x = [0, y], row[y]
         while x:
             if len(powers) == n:

@@ -20,11 +20,19 @@ conjugated along its orbit to the rest of its class, by the image of each
 subgroup under each conjugation action, recorded (bits to bits) as the
 classes are added.
 
-For h in H, <H, C_j^h> = <H, C_j>^h = <H, C_j>, so H takes one Dimino
-step per orbit of the extenders outside it under conjugation by H's
-generators, by the first in extender order. The walk therefore adds the
-same classes, in the same order, with the same recorded generators as
-extending every representative by every extender.
+For n in N_G(H), <H, C_j^n> = <H, C_j>^n is a conjugate of <H, C_j>, so
+H takes one Dimino step per orbit of the extenders outside it under
+conjugation by N_G(H), by the first in extender order: the step brings in
+a whole class, and the rest of the orbit would only give members of it.
+Each N_G(H)-orbit is a union of H-orbits, and its first member is the
+first of theirs, so the walk adds the same classes, in the same order,
+with the same recorded generators as extending every representative by
+every extender. N_G(H) comes from the orbit of H's class by Schreier's
+lemma. Conjugate k is H^t_k, t_k the product of the group's generators
+along its path from H, and when generator s maps conjugate k onto a known
+conjugate j, u = t_k s t_j^-1 normalizes H; these u generate N_G(H) with
+H. Starting from H, each u outside the subgroup so far takes one Dimino
+step, until the order is |G|/|class|. A normal H takes G's generators.
 
 A Dimino step that gives G is cut short: it stops once <H, x> outgrows
 every proper subgroup containing H. Let K >= H be proper, m = [G:K] and
@@ -149,13 +157,13 @@ def all_subgroups(g: FiniteGroup,
     ext = _Extenders(g, [gens[0] for bits, gens in walk.found.items() if bits != 1])
     cores = _cores(g, subgroup_cap)
 
-    # extend each class representative H by one C_j per H-orbit outside it
-    for hbits, helems, hgens in walk.reps:  # grows while read
+    # extend each class representative H by one C_j per N_G(H)-orbit outside it
+    for hbits, helems, hgens, ngens in walk.reps:  # grows while read
         if hbits == 1:
             continue
         hrows = [g.right_row(x) for x in hgens]
         bound = _overgroup_bound(g, cores, hbits, len(helems))
-        for orbit in ext.orbits(hgens, ext.within(helems)):
+        for orbit in ext.orbits(hgens + ngens, ext.within(helems)):
             kelems, kbits = g.extend(helems, hrows, ext.gens[orbit[0]], bound)
             if kbits not in walk.found:
                 walk.add_class(kelems, kbits, generating_set(g, kelems, kbits))
@@ -170,8 +178,9 @@ class _ClassWalk:
     """The subgroups found so far, added a whole conjugacy class at a time.
 
     `found` maps each subgroup's bitmask to its recorded generators; `reps`
-    holds (bits, elements, generators) of one representative per class, the
-    only subgroups whose element lists are kept. Each class's orbit is kept
+    holds (bits, elements, generators, normalizer generators) of one
+    representative H per class, the only subgroups whose element lists are
+    kept; the last are elements outside H that generate N_G(H) with H. Each class's orbit is kept
     as (bits, parent, action) triples: conjugate k is the image of conjugate
     `parent` under conjugation action `action`, which is how covers are
     carried from the representative to its conjugates.
@@ -184,7 +193,7 @@ class _ClassWalk:
         self.pow2 = [1 << i for i in range(g.order)]
         self.found: dict[int, tuple[int, ...]] = {}
         self.image: list[dict[int, int]] = [{} for _ in self.actions]
-        self.reps: list[tuple[int, list[int], tuple[int, ...]]] = []
+        self.reps: list[tuple[int, list[int], tuple[int, ...], tuple[int, ...]]] = []
         self.orbits: list[list[tuple[int, int, int]]] = []
 
     def _bits(self, elems: Sequence[int]) -> int:
@@ -196,25 +205,52 @@ class _ClassWalk:
         self.found[bits] = gens
 
     def add_class(self, elems: list[int], bits: int, gens: tuple[int, ...]) -> None:
-        """Add the new subgroup <gens> (elements elems, bitmask bits) and
-        all its conjugates, with the generators mapped along."""
+        """Add the new subgroup H = <gens> (elements elems, bitmask bits) and
+        all its conjugates, with the generators mapped along, and record H
+        with generators of N_G(H) outside H: conjugate k is H^t_k, t_k =
+        trans[k], and each action s onto a known conjugate j gives the
+        Schreier generator t_k s t_j^-1 (module docstring)."""
+        g, right = self.g, self.g.right_rows
         self._record(bits, gens)
-        self.reps.append((bits, elems, gens))
         orbit = [(bits, -1, -1)]
-        members, gens_of = [elems], [gens]
+        members, gens_of, trans, at = [elems], [gens], [0], {bits: 0}
+        loops = []  # (t_k s_a, j) for each action onto a known conjugate j
         for k, cur in enumerate(members):
             kbits = orbit[k][0]
             take = _getter(cur)
             for a, act in enumerate(self.actions):
                 image = take(act)
                 ibits = self.image[a][kbits] = self._bits(image)
-                if ibits not in self.found:
-                    igens = tuple(map(act.__getitem__, gens_of[k]))
-                    self._record(ibits, igens)
-                    orbit.append((ibits, k, a))
-                    members.append(image)
-                    gens_of.append(igens)
+                ts = right[g.generators[a]][trans[k]]
+                j = at.get(ibits)
+                if j is not None:
+                    loops.append((ts, j))
+                    continue
+                igens = tuple(map(act.__getitem__, gens_of[k]))
+                self._record(ibits, igens)
+                at[ibits] = len(orbit)
+                orbit.append((ibits, k, a))
+                members.append(image)
+                gens_of.append(igens)
+                trans.append(ts)
         self.orbits.append(orbit)
+        if len(orbit) == 1:  # H is normal: N_G(H) = G
+            ngens = tuple(s for s in g.generators if not bits >> s & 1)
+        else:  # grow N from H by one Dimino step per u outside it, up to |N_G(H)|
+            ngens, most = [], g.order // len(orbit)
+            flags = bytearray(b"0") * g.order
+            for x in elems:
+                flags[x] = 49
+            nelems, rows = list(elems), [g.right_row(x) for x in gens]
+            for ts, j in loops:
+                if len(nelems) == most:
+                    break
+                u = right[g.inv[trans[j]]][ts]
+                if flags[u] != 49:
+                    g._dimino(flags, nelems, rows, u)
+                    ngens.append(u)
+            ngens = tuple(ngens)
+        self.reps.append((bits, elems, gens, ngens))
 
     def covers(self, subs: list[Subgroup]) -> list[list[int]]:
         """maximals_of for the sorted subgroups: each representative's covers

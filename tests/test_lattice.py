@@ -5,17 +5,18 @@ from hypothesis import assume, example, given
 
 from formations.dsl import parse_group
 from formations.errors import LatticeExceedsCap
-from formations.groups import conjugates, is_normal
-from formations.lattice import (_cores, _normal_atoms, _overgroup_bound,
-                                all_subgroups, chief_series, fitting,
+from formations.groups import conjugates, indices_of, is_normal
+from formations.lattice import (_ClassWalk, _cores, _normal_atoms,
+                                _overgroup_bound, all_subgroups, chief_series, fitting,
                                 frattini, hall, minimal_normal_subgroups,
                                 normal_subgroups, o_core, sylow)
 
-from conftest import PROPERTY, factor_orders, of_order, perm_groups, table_of
+from conftest import (PROPERTY, factor_orders, members, of_order, perm_groups,
+                      table_of)
 from oracle import (o_chief_order_multisets, o_cyclic_subgroups, o_fitting,
                     o_frattini, o_maximal_in, o_maximal_positions,
                     o_n_maximal, o_normal_closure, o_normal_subgroups,
-                    o_subgroups)
+                    o_normalizer, o_subgroups)
 
 
 def bitset(s):
@@ -79,6 +80,24 @@ def test_overgroup_bound_is_sound(g):
     for h in lat.subgroups[:-1]:
         largest = max(m.order for m in maxima if h.bits & m.bits == h.bits)
         assert _overgroup_bound(g, cores, h.bits, h.order) >= largest
+
+
+@PROPERTY
+@given(perm_groups())
+@example(parse_group("A5"))
+@example(parse_group("S5"))
+@example(parse_group("A6"))
+@example(parse_group("S3 x S3"))
+def test_normalizer_gens_match_oracle(g):
+    """For every subgroup H, the generators of N_G(H) that `add_class`
+    reads from H's class orbit generate N_G(H) together with H's own."""
+    assume(g.order <= 120 or g.name != "H")  # drawn groups; the oracle is O(|G|^2) per H
+    table = table_of(g)
+    for h in all_subgroups(g).subgroups:
+        walk = _ClassWalk(g, len(table))
+        walk.add_class(indices_of(h.bits), h.bits, h.gens)
+        (_, _, hgens, ngens), = walk.reps
+        assert members(g.closure_bits(hgens + ngens)) == o_normalizer(table, members(h.bits))
 
 
 def test_overgroup_bound_below_lagrange():
@@ -370,7 +389,7 @@ def test_s6_lattice():
 
 
 def test_dimino_steps(monkeypatch):
-    """The walk makes one Dimino step per H-orbit of extenders outside H."""
+    """The walk makes one Dimino step per N_G(H)-orbit of extenders outside H."""
     from formations.groups import FiniteGroup
 
     steps = [0]
@@ -388,4 +407,4 @@ def test_dimino_steps(monkeypatch):
         steps[0] = 0
         all_subgroups(g)
         counts[name] = steps[0]
-    assert counts == {"A5": 59, "S5": 245, "A6": 652, "S6": 2527}
+    assert counts == {"A5": 45, "S5": 161, "A6": 398, "S6": 1403}
