@@ -32,7 +32,9 @@ lemma. Conjugate k is H^t_k, t_k the product of the group's generators
 along its path from H, and when generator s maps conjugate k onto a known
 conjugate j, u = t_k s t_j^-1 normalizes H; these u generate N_G(H) with
 H. Starting from H, each u outside the subgroup so far takes one Dimino
-step, until the order is |G|/|class|. A normal H takes G's generators.
+step, until the order is |G|/|class|. No step is needed when the class has
+one member (N_G(H) = G, generated by G's generators) or [G:H] members
+(N_G(H) = H).
 
 A Dimino step that gives G is cut short: it stops once <H, x> outgrows
 every proper subgroup containing H. Let K >= H be proper, m = [G:K] and
@@ -163,7 +165,7 @@ def all_subgroups(g: FiniteGroup,
             continue
         hrows = [g.right_row(x) for x in hgens]
         bound = _overgroup_bound(g, cores, hbits, len(helems))
-        for orbit in ext.orbits(hgens + ngens, ext.within(helems)):
+        for orbit in ext.orbits(ngens, ext.within(helems)):
             kelems, kbits = g.extend(helems, hrows, ext.gens[orbit[0]], bound)
             if kbits not in walk.found:
                 walk.add_class(kelems, kbits, generating_set(g, kelems, kbits))
@@ -180,10 +182,11 @@ class _ClassWalk:
     `found` maps each subgroup's bitmask to its recorded generators; `reps`
     holds (bits, elements, generators, normalizer generators) of one
     representative H per class, the only subgroups whose element lists are
-    kept; the last are elements outside H that generate N_G(H) with H. Each class's orbit is kept
-    as (bits, parent, action) triples: conjugate k is the image of conjugate
-    `parent` under conjugation action `action`, which is how covers are
-    carried from the representative to its conjugates.
+    kept; the last generate N_G(H), and the walk extends H once per orbit
+    of extenders under them. Each class's orbit is kept as (bits, parent,
+    action) triples: conjugate k is the image of conjugate `parent` under
+    conjugation action `action` (by generator `action` of the group), which
+    is how covers are carried from the representative to its conjugates.
     """
 
     def __init__(self, g: FiniteGroup, subgroup_cap: int):
@@ -207,50 +210,56 @@ class _ClassWalk:
     def add_class(self, elems: list[int], bits: int, gens: tuple[int, ...]) -> None:
         """Add the new subgroup H = <gens> (elements elems, bitmask bits) and
         all its conjugates, with the generators mapped along, and record H
-        with generators of N_G(H) outside H: conjugate k is H^t_k, t_k =
-        trans[k], and each action s onto a known conjugate j gives the
-        Schreier generator t_k s t_j^-1 (module docstring)."""
-        g, right = self.g, self.g.right_rows
+        with generators of N_G(H)."""
         self._record(bits, gens)
         orbit = [(bits, -1, -1)]
-        members, gens_of, trans, at = [elems], [gens], [0], {bits: 0}
-        loops = []  # (t_k s_a, j) for each action onto a known conjugate j
+        members, gens_of = [elems], [gens]
         for k, cur in enumerate(members):
             kbits = orbit[k][0]
             take = _getter(cur)
             for a, act in enumerate(self.actions):
                 image = take(act)
                 ibits = self.image[a][kbits] = self._bits(image)
-                ts = right[g.generators[a]][trans[k]]
-                j = at.get(ibits)
-                if j is not None:
-                    loops.append((ts, j))
-                    continue
-                igens = tuple(map(act.__getitem__, gens_of[k]))
-                self._record(ibits, igens)
-                at[ibits] = len(orbit)
-                orbit.append((ibits, k, a))
-                members.append(image)
-                gens_of.append(igens)
-                trans.append(ts)
+                if ibits not in self.found:
+                    igens = tuple(map(act.__getitem__, gens_of[k]))
+                    self._record(ibits, igens)
+                    orbit.append((ibits, k, a))
+                    members.append(image)
+                    gens_of.append(igens)
         self.orbits.append(orbit)
-        if len(orbit) == 1:  # H is normal: N_G(H) = G
-            ngens = tuple(s for s in g.generators if not bits >> s & 1)
-        else:  # grow N from H by one Dimino step per u outside it, up to |N_G(H)|
-            ngens, most = [], g.order // len(orbit)
-            flags = bytearray(b"0") * g.order
-            for x in elems:
-                flags[x] = 49
-            nelems, rows = list(elems), [g.right_row(x) for x in gens]
-            for ts, j in loops:
+        self.reps.append((bits, elems, gens, self._normalizer(orbit, elems, gens)))
+
+    def _normalizer(self, orbit: list[tuple[int, int, int]], elems: list[int],
+                    gens: tuple[int, ...]) -> tuple[int, ...]:
+        """Generators of N_G(H), H = <gens> with elements elems and class
+        `orbit`: G's when H is normal, H's when N_G(H) = H, and otherwise
+        H's and each Schreier generator u = t_k s t_j^-1 (module docstring)
+        outside the subgroup N built so far, N grown by one Dimino step per
+        u until |N| = |G|/|class|."""
+        g, right = self.g, self.g.right_rows
+        most = g.order // len(orbit)
+        if most == g.order:
+            return g.generators
+        if most == len(elems):
+            return gens
+        at = {kbits: k for k, (kbits, _, _) in enumerate(orbit)}
+        trans = [0]  # t_k, with conjugate k = H^t_k
+        for _, parent, a in orbit[1:]:
+            trans.append(right[g.generators[a]][trans[parent]])
+        schreier = (right[g.inv[trans[at[self.image[a][kbits]]]]][right[s][t]]
+                    for (kbits, _, _), t in zip(orbit, trans)
+                    for a, s in enumerate(g.generators))
+        flags = bytearray(b"0") * g.order
+        for x in elems:
+            flags[x] = 49
+        nelems, rows, ngens = list(elems), [g.right_row(x) for x in gens], list(gens)
+        for u in schreier:
+            if flags[u] != 49:
+                g._dimino(flags, nelems, rows, u)
+                ngens.append(u)
                 if len(nelems) == most:
                     break
-                u = right[g.inv[trans[j]]][ts]
-                if flags[u] != 49:
-                    g._dimino(flags, nelems, rows, u)
-                    ngens.append(u)
-            ngens = tuple(ngens)
-        self.reps.append((bits, elems, gens, ngens))
+        return tuple(ngens)
 
     def covers(self, subs: list[Subgroup]) -> list[list[int]]:
         """maximals_of for the sorted subgroups: each representative's covers
@@ -298,11 +307,11 @@ class _Extenders:
         inside.discard(-1)
         return inside
 
-    def orbits(self, hgens: tuple[int, ...], done: set[int]) -> Iterator[list[int]]:
-        """Each orbit of the C_j outside `done` under conjugation by hgens,
+    def orbits(self, ngens: tuple[int, ...], done: set[int]) -> Iterator[list[int]]:
+        """Each orbit of the C_j outside `done` under conjugation by ngens,
         first member first, by first member. `done` is used up."""
         gens, index = self.gens, self.index
-        conj = list(map(self.g.conjugation_row, hgens))
+        conj = list(map(self.g.conjugation_row, ngens))
         for j in range(len(gens)):
             if j in done:
                 continue

@@ -90,14 +90,14 @@ def test_overgroup_bound_is_sound(g):
 @example(parse_group("S3 x S3"))
 def test_normalizer_gens_match_oracle(g):
     """For every subgroup H, the generators of N_G(H) that `add_class`
-    reads from H's class orbit generate N_G(H) together with H's own."""
+    reads from H's class orbit generate N_G(H)."""
     assume(g.order <= 120 or g.name != "H")  # drawn groups; the oracle is O(|G|^2) per H
     table = table_of(g)
     for h in all_subgroups(g).subgroups:
         walk = _ClassWalk(g, len(table))
         walk.add_class(indices_of(h.bits), h.bits, h.gens)
-        (_, _, hgens, ngens), = walk.reps
-        assert members(g.closure_bits(hgens + ngens)) == o_normalizer(table, members(h.bits))
+        (_, _, _, ngens), = walk.reps
+        assert members(g.closure_bits(ngens)) == o_normalizer(table, members(h.bits))
 
 
 def test_overgroup_bound_below_lagrange():
